@@ -12,13 +12,12 @@ Library layout:
 """
 
 from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
-from .lattice import BandedOperator, FiniteSection, adjoint, compose, finite_section, shift
+from .lattice import BandedOperator, FiniteSection
 from .models import (
     AsymptoticData,
     InvalidParameters,
     ModelParamsMko,
     ModelParamsUm,
-    asymptotics,
     coin,
     default_phase,
     grading,
@@ -28,6 +27,7 @@ from .models import (
     mko_walk,
     offdiag_block,
     phase_repair,
+    reduce_to_um,
     walk,
 )
 from .index import (
@@ -49,7 +49,6 @@ from .spectrum import (
     EssentialSpectrumResult,
     SpectralSet,
     classify_case,
-    endpoint_data,
     essential_spectrum,
     g_map,
     sigma_star,

@@ -2,10 +2,11 @@
 
 ``chiralwalk index|spectrum|verify|plot <config> [flags]``
 
-Exit codes: 0 success, 1 usage/parse error, 2 not Fredholm, 3 verification
-failure.  All commands are deterministic given config and flags; the only
-randomised step (the alternative phase assignment cross-check in ``index``)
-is driven by ``--seed``.
+Exit codes: 0 success, 1 usage/parse error or out-of-range/non-finite input,
+2 not Fredholm, 3 verification failure.  Each subcommand accepts only the
+flags it reads.  All commands are deterministic given config and flags; the
+only randomised step (the alternative phase assignment cross-check in
+``index``) is driven by ``--seed``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_model_config
+from .config import DEFAULT_OPTIONS, load_model_config
 from .index import NotFredholmError, compute_index
-from .models import (
-    InvalidParameters,
-    ModelParamsMko,
-    default_phase,
-    mko_to_um,
-)
+from .models import InvalidParameters, default_phase, reduce_to_um
 from .profiles import MINUS_INF, PLUS_INF, REAL, ParameterProfile
 from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum
 from .verify import run_verification, truncated_spectrum
@@ -39,48 +35,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_FLAGS = {
+    "--resolution": dict(type=int, help="circle samples per endpoint (default from config)"),
+    "--window": dict(type=int, help="finite-section half-width (default from config)"),
+    "--tol": dict(type=float, help="residual tolerance (default from config)"),
+    "--seed": dict(type=int, help="seed for randomised cross-checks (default from config)"),
+    "--out": dict(help="output file"),
+    "--cloud-out": dict(help="also write the sampled eigenvalue cloud"),
+    "--overlay-window": dict(
+        type=int, help="overlay eigenvalues of the finite section at this half-width"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chiralwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("config", help="path to a JSON model config")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="circle samples per endpoint (default from config)")
-        p.add_argument("--window", type=int, default=None,
-                       help="finite-section half-width (default from config)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default from config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomised cross-checks (default from config)")
-        p.add_argument("--out", default=None, help="output file")
-
-    for name, fn in (("index", _cmd_index), ("spectrum", _cmd_spectrum),
-                     ("verify", _cmd_verify), ("plot", _cmd_plot)):
+    for name, fn, flags in (
+        ("index", _cmd_index, ("--seed",)),
+        ("spectrum", _cmd_spectrum, ("--resolution", "--out", "--cloud-out")),
+        ("verify", _cmd_verify, ("--window", "--tol")),
+        ("plot", _cmd_plot, ("--resolution", "--out", "--overlay-window")),
+    ):
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("config", help="path to a JSON model config")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=fn)
-    sub.choices["spectrum"].add_argument(
-        "--cloud-out", default=None, help="also write the sampled eigenvalue cloud")
-    sub.choices["plot"].add_argument(
-        "--overlay-window", type=int, default=None,
-        help="overlay eigenvalues of the finite section at this half-width")
     return parser
 
 
 def _load(args):
+    """Load the config and fill the subcommand's unset numeric flags from it."""
     cfg = load_model_config(args.config)
-    for name in ("resolution", "window", "tol", "seed"):
-        if getattr(args, name, None) is None:
+    for name in DEFAULT_OPTIONS:
+        if name in vars(args) and getattr(args, name) is None:
             setattr(args, name, cfg.option(name))
     return cfg
-
-
-def _reduce(params):
-    """Parameters of the m-step family equivalent to the given model."""
-    if isinstance(params, ModelParamsMko):
-        return mko_to_um(params)[0], True
-    return params, False
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +95,9 @@ def _alternative_phase(params, seed: int) -> ParameterProfile | None:
 
 
 def _cmd_index(args) -> int:
-    cfg = _load(args)
-    params = cfg.build()
-    um, reduced = _reduce(params)
-    if reduced:
+    params = _load(args).build()
+    um = reduce_to_um(params)
+    if um is not params:
         print("two-step model reduced to the equivalent m = 2 instance")
     report = compute_index(um)
     for diag in report.endpoints:
@@ -179,9 +168,9 @@ def cloud_csv(result: EssentialSpectrumResult, resolution: int) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _load(args)
-    um, reduced = _reduce(cfg.build())
-    if reduced:
+    params = _load(args).build()
+    um = reduce_to_um(params)
+    if um is not params:
         print("two-step model reduced to the equivalent m = 2 instance")
     result = essential_spectrum(um, args.resolution)
     for ep in (result.minus, result.plus):
@@ -230,10 +219,8 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     from .plotting import write_spectral_svg
 
-    cfg = _load(args)
-    params = cfg.build()
-    um, _ = _reduce(params)
-    result = essential_spectrum(um, args.resolution)
+    params = _load(args).build()
+    result = essential_spectrum(reduce_to_um(params), args.resolution)
     overlay = None
     if args.overlay_window:
         overlay = truncated_spectrum(params, args.overlay_window).eigenvalues
@@ -257,7 +244,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ConfigError, InvalidParameters) as err:
+    except ValueError as err:
+        # config and parameter errors, and numeric arguments out of range
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NotFredholmError as err:

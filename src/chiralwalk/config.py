@@ -9,6 +9,7 @@ list.  Angles are in radians; the gain is dimensionless.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -34,13 +35,15 @@ def _scalar(node, path: str, kind: str) -> complex:
     if isinstance(node, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
     if isinstance(node, (int, float)):
-        return complex(node)
-    if isinstance(node, list) and len(node) == 2 and all(
+        value = complex(node)
+    elif isinstance(node, list) and len(node) == 2 and all(
         isinstance(u, (int, float)) and not isinstance(u, bool) for u in node
     ):
         value = complex(node[0], node[1])
     else:
         raise ConfigError(f"{path}: expected a number or [re, im] pair")
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {node}")
     if kind == REAL and value.imag != 0.0:
         raise ConfigError(f"{path}: expected a real value")
     return value

@@ -25,7 +25,6 @@ from .lattice import BandedOperator
 from .models import (
     AsymptoticData,
     ModelParamsUm,
-    asymptotics,
     offdiag_block,
     phase_repair,
     _resolve_phase,
@@ -265,8 +264,8 @@ def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None,
     absent index fields.  A disagreement between routes raises
     :class:`IndexDisagreementError`.
     """
-    minus = asymptotics(params, MINUS_INF)
-    plus = asymptotics(params, PLUS_INF)
+    minus = AsymptoticData.from_params(params, MINUS_INF)
+    plus = AsymptoticData.from_params(params, PLUS_INF)
     ok, diagnostics = is_fredholm(minus, plus)
     if not ok:
         return IndexReport(

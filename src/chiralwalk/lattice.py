@@ -74,15 +74,6 @@ class BandedOperator:
                 coeff[(i, j, 0)] = _profile(v)
         return cls(n, 0, coeff)
 
-    @classmethod
-    def from_blocks(cls, block_size: int, blocks) -> "BandedOperator":
-        """Assemble from ``{(i, j): {offset: profile}}``."""
-        coeff = {}
-        for (i, j), offsets in blocks.items():
-            for y, prof in offsets.items():
-                coeff[(i, j, y)] = _profile(prof)
-        return cls(block_size, 0, coeff)
-
     # -- access -------------------------------------------------------------
 
     def coefficient(self, i: int, j: int, y: int) -> ParameterProfile:
@@ -222,18 +213,11 @@ class FiniteSection:
         return self.matrix[np.ix_(idx, idx)]
 
 
-# Module-level aliases matching the operation vocabulary.
-
-def shift(power: int) -> BandedOperator:
-    return BandedOperator.shift(power)
-
+# Function forms of the two operations the benchmark's span tracer times by name
+# (``perfbench/spans.py``); everything else calls the methods directly.
 
 def compose(a: BandedOperator, b: BandedOperator) -> BandedOperator:
     return a.compose(b)
-
-
-def adjoint(a: BandedOperator) -> BandedOperator:
-    return a.adjoint()
 
 
 def finite_section(a: BandedOperator, window: int) -> FiniteSection:

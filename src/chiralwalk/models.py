@@ -45,10 +45,15 @@ def _probe_sites(*profiles: ParameterProfile):
     return sorted(sites)
 
 
+def normalization_residual(u: ParameterProfile, v: ParameterProfile) -> float:
+    """Worst deviation of u(x)^2 + |v(x)|^2 from 1 over every determining site."""
+    return max(
+        abs(u.value(x).real ** 2 + abs(v.value(x)) ** 2 - 1.0) for x in _probe_sites(u, v)
+    )
+
+
 def _check_normalized(u: ParameterProfile, v: ParameterProfile, label: str):
-    worst = 0.0
-    for x in _probe_sites(u, v):
-        worst = max(worst, abs(u.value(x).real ** 2 + abs(v.value(x)) ** 2 - 1.0))
+    worst = normalization_residual(u, v)
     if worst > NORMALIZATION_TOL:
         raise InvalidParameters(f"{label} normalization violated by {worst:.3e}")
 
@@ -140,10 +145,6 @@ class AsymptoticData:
             theta=_principal_angle(q),
             theta_prime=_principal_angle(b),
         )
-
-
-def asymptotics(params: ModelParamsUm, star: str) -> AsymptoticData:
-    return AsymptoticData.from_params(params, star)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +271,13 @@ def mko_to_um(params: ModelParamsMko):
     shift_flip = BandedOperator(2, 1, {(0, 1, 1): -1j, (1, 0, -1): 1j})
     eta = coin_flip @ shift_flip
     return um, eta
+
+
+def reduce_to_um(params) -> ModelParamsUm:
+    """The m-step parameters of either model family; m-step parameters pass through."""
+    if isinstance(params, ModelParamsMko):
+        return mko_to_um(params)[0]
+    return params
 
 
 def mko_grading(params: ModelParamsMko) -> BandedOperator:

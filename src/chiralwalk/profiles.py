@@ -50,8 +50,11 @@ class ParameterProfile:
             default = left if site < 0 else right
             if v != default:
                 cleaned[site] = v
+        values = (left, right, *cleaned.values())
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError(f"profile holds non-finite value in {values}")
         if self.value_kind == REAL:
-            bad = [v for v in (left, right, *cleaned.values()) if v.imag != 0.0]
+            bad = [v for v in values if v.imag != 0.0]
             if bad:
                 raise ValueError(f"real profile holds non-real value {bad[0]}")
         elif self.value_kind != COMPLEX:
@@ -91,9 +94,6 @@ class ParameterProfile:
         if not self.overrides:
             return 0
         return max(abs(s) for s in self.overrides) + 1
-
-    def sites(self):
-        return sorted(self.overrides)
 
     # -- pointwise algebra -------------------------------------------------
 
@@ -202,7 +202,3 @@ class ParameterProfile:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
-
-
-ZERO = ParameterProfile.constant(0.0, REAL)
-ONE = ParameterProfile.constant(1.0, REAL)

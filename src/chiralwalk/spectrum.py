@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .index import sgn
-from .models import AsymptoticData, ModelParamsUm, asymptotics
+from .models import AsymptoticData, ModelParamsUm
 from .profiles import MINUS_INF, PLUS_INF, STARS
 
 CASE_I = "I"
@@ -77,10 +77,6 @@ class EndpointSpectrumData:
             gamma_minus=g_minus,
             gamma_plus=g_plus,
         )
-
-
-def endpoint_data(asym: AsymptoticData) -> EndpointSpectrumData:
-    return EndpointSpectrumData.from_asymptotics(asym)
 
 
 def classify_case(data: EndpointSpectrumData, gamma_star: float) -> str:
@@ -323,9 +319,8 @@ def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> Essenti
         raise ValueError("resolution must be at least 256")
     reports = {}
     for star in STARS:
-        asym = asymptotics(params, star)
+        asym = AsymptoticData.from_params(params, star)
         data = EndpointSpectrumData.from_asymptotics(asym)
-        case = classify_case(data, asym.gamma)
         sset = sigma_star(asym)
         cloud = _sample_cloud(asym, params.m, resolution)
         cloud_to_set = float(np.max(sset.distance(cloud)))
@@ -335,7 +330,7 @@ def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> Essenti
         reports[star] = EndpointEssentialSpectrum(
             star=star,
             data=data,
-            case_tag=case,
+            case_tag=sset.case_tag,
             spectral_set=sset,
             cloud=cloud,
             cloud_to_set=cloud_to_set,

@@ -27,9 +27,10 @@ from .models import (
     mko_grading,
     mko_to_um,
     mko_walk,
+    normalization_residual,
     offdiag_block,
+    reduce_to_um,
     walk,
-    _probe_sites,
 )
 from .profiles import ParameterProfile
 
@@ -108,15 +109,9 @@ def equivalence_residual(params: ModelParamsMko, window: int) -> float:
 
 def normalization_residuals(params: ModelParamsUm) -> dict:
     """Worst deviation of the two coin/grading normalization constraints."""
-    def worst(u: ParameterProfile, v: ParameterProfile) -> float:
-        return max(
-            abs(u.value(x).real ** 2 + abs(v.value(x)) ** 2 - 1.0)
-            for x in _probe_sites(u, v)
-        )
-
     return {
-        "p^2+|q|^2": worst(params.p, params.q),
-        "a^2+|b|^2": worst(params.a, params.b),
+        "p^2+|q|^2": normalization_residual(params.p, params.q),
+        "a^2+|b|^2": normalization_residual(params.a, params.b),
     }
 
 
@@ -146,16 +141,27 @@ def _localisation_tags(section, vectors: np.ndarray, edge_width: int):
     return edge_fraction >= 0.5, section.window - peak_sites
 
 
-def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
-    """All eigenvalues of the dense walk section, tagged by edge localisation."""
+def _check_dense_budget(window: int):
     if window > DENSE_BUDGET:
         raise ValueError(f"window {window} beyond dense solver budget {DENSE_BUDGET}")
+
+
+def _section_eigensolve(op: BandedOperator, window: int, hermitian: bool = False):
+    """Eigenvalues of the dense section of ``op`` with their edge-localisation tags.
+
+    Returns ``(values, boundary_affected, edge_distance)``.
+    """
+    _check_dense_budget(window)
+    section = op.finite_section(window)
+    values, vectors = (np.linalg.eigh if hermitian else np.linalg.eig)(section.matrix)
+    boundary, distance = _localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
+    return values, boundary, distance
+
+
+def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
+    """All eigenvalues of the dense walk section, tagged by edge localisation."""
     _, walk_op = build_pair(params)
-    section = walk_op.finite_section(window)
-    values, vectors = np.linalg.eig(section.matrix)
-    edge_width = 2 * max(1, walk_op.bandwidth)
-    boundary, distance = _localisation_tags(section, vectors, edge_width)
-    return TruncatedSpectrum(window, values, boundary, distance)
+    return TruncatedSpectrum(window, *_section_eigensolve(walk_op, window))
 
 
 @dataclass
@@ -221,14 +227,9 @@ def bound_state_check(params: ModelParamsUm, window: int,
     if not report.fredholm:
         raise VerificationError("bound states", "instance is not Fredholm")
     nu = abs(report.analytic_index)
-    _, walk_op = build_pair(params)
-    section = walk_op.finite_section(window)
-    values, vectors = np.linalg.eig(section.matrix)
-    edge_width = 2 * max(1, walk_op.bandwidth)
-    boundary, _ = _localisation_tags(section, vectors, edge_width)
-    interior = ~boundary
-    near_plus = int(np.sum(interior & (np.abs(values - 1.0) < eig_tol)))
-    near_minus = int(np.sum(interior & (np.abs(values + 1.0) < eig_tol)))
+    interior = truncated_spectrum(params, window).interior_eigenvalues()
+    near_plus = int(np.sum(np.abs(interior - 1.0) < eig_tol))
+    near_minus = int(np.sum(np.abs(interior + 1.0) < eig_tol))
     result = BoundStateCheck(window, nu, near_plus, near_minus)
     if result.count < nu:
         raise VerificationError(
@@ -255,12 +256,9 @@ def unitary_mapping_check(params: ModelParamsUm, window: int,
         raise InvalidParameters("mapping check applies to unitary instances only")
     result = essential_spectrum(params, resolution)
     mapped = np.concatenate([result.minus.cloud.imag, result.plus.cloud.imag])
-    grading_op, walk_op = build_pair(params)
+    _, walk_op = build_pair(params)
     q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)
-    section = q_op.finite_section(window)
-    values, vectors = np.linalg.eigh(section.matrix)
-    edge_width = 2 * max(1, walk_op.bandwidth)
-    boundary, _ = _localisation_tags(section, vectors, edge_width)
+    values, boundary, _ = _section_eigensolve(q_op, window, hermitian=True)
     interior_values = values[~boundary]
     if len(interior_values) == 0:
         return 0.0
@@ -298,8 +296,8 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL,
     def record(name, passed, detail):
         report.checks.append((name, bool(passed), detail))
 
-    is_mko = isinstance(params, ModelParamsMko)
-    um = mko_to_um(params)[0] if is_mko else params
+    _check_dense_budget(window)
+    um = reduce_to_um(params)
 
     report.normalization = normalization_residuals(um)
     for label, value in report.normalization.items():
@@ -313,7 +311,7 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL,
     record("grading involution", report.involution_residual < tol,
            f"residual {report.involution_residual:.3e}")
 
-    if is_mko:
+    if um is not params:
         report.equivalence_residual = equivalence_residual(params, window)
         record("two-step reduction", report.equivalence_residual < tol,
                f"residual {report.equivalence_residual:.3e}")

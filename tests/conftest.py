@@ -78,15 +78,13 @@ def random_mko_params(rng, sites=2) -> ModelParamsMko:
 
 def random_fredholm_params(rng, min_margin=1e-6, **kwargs) -> ModelParamsUm:
     """Rejection-sample until both endpoint margins clear ``min_margin``."""
-    from chiralwalk import asymptotics, p_gamma
+    from chiralwalk import AsymptoticData, p_gamma
     from chiralwalk.profiles import STARS
 
     while True:
         params = random_um_params(rng, **kwargs)
-        margins = [
-            abs(abs(p_gamma(asymptotics(params, star))) - abs(asymptotics(params, star).a))
-            for star in STARS
-        ]
+        asyms = [AsymptoticData.from_params(params, star) for star in STARS]
+        margins = [abs(abs(p_gamma(asym)) - abs(asym.a)) for asym in asyms]
         if min(margins) > min_margin:
             return params
 

@@ -9,12 +9,12 @@ import time
 import numpy as np
 
 from chiralwalk import (
+    AsymptoticData,
     BandedOperator,
+    EndpointSpectrumData,
     ModelParamsUm,
-    asymptotics,
     bound_state_check,
     compute_index,
-    endpoint_data,
     essential_spectrum,
     grading,
     grading_eigenbasis,
@@ -48,8 +48,8 @@ def test_criterion_1_reference_reproduction():
     ok = True
     detail = []
     for star in STARS:
-        asym = asymptotics(params, star)
-        data = endpoint_data(asym)
+        asym = AsymptoticData.from_params(params, star)
+        data = EndpointSpectrumData.from_asymptotics(asym)
         ok &= abs(data.gamma_minus - 0.350396) < 1e-5
         ok &= abs(data.gamma_plus - 2.64283) < 1e-5
         ok &= abs(abs(p_gamma(asym)) - 0.150876) < 1e-5

@@ -145,6 +145,36 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", UM1, "--resolution", "512"],
+    ["verify", UM1, "--out", "x"],
+    ["spectrum", UM1, "--seed", "3"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", UM1, "--window", "2"],
+    ["spectrum", UM1, "--resolution", "10"],
+    ["verify", UM1, "--window", "2001"],
+])
+def test_out_of_range_numbers_exit_1_with_one_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["index", "spectrum", "verify"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_config_values_exit_1(tmp_path, capsys, command, bad):
+    doc = um_document()
+    doc["profiles"]["p"]["left"] = bad          # written as NaN / Infinity
+    assert main([command, write_config(tmp_path, doc)]) == 1
+    assert "profiles.p.left" in capsys.readouterr().err
+
+
 def test_corrupted_normalization_exit_codes(tmp_path, capsys):
     doc = um_document()
     doc["profiles"]["b"] = {"left": math.sqrt(1.01 - 0.01), "right": math.sqrt(1.01 - 0.01)}

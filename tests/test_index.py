@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from chiralwalk import (
+    AsymptoticData,
     ModelParamsUm,
     NotFredholmError,
     SymbolFunction,
     SymbolNearZeroError,
-    asymptotics,
     compute_index,
     is_fredholm,
     p_gamma,
@@ -29,7 +29,7 @@ P_GAMMA_REF = 0.1508764669875666
 
 
 def endpoints(params):
-    return asymptotics(params, MINUS_INF), asymptotics(params, PLUS_INF)
+    return tuple(AsymptoticData.from_params(params, star) for star in (MINUS_INF, PLUS_INF))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_p_gamma_degenerate_values():
                          p=real_profile(0, 0), a=real_profile(0.4, 0.4),
                          q=ParameterProfile.constant(1.0),
                          b=ParameterProfile.constant(math.sqrt(0.84)))
-    assert p_gamma(asymptotics(flat, PLUS_INF)) == 0.0
+    assert p_gamma(AsymptoticData.from_params(flat, PLUS_INF)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,10 @@ def test_index_raises_on_tie():
 def test_analytic_winding_of_the_reference_symbol():
     for m in (1, 2, -2):
         params = reference_params(m=m)
-        plus = asymptotics(params, PLUS_INF)
+        plus = AsymptoticData.from_params(params, PLUS_INF)
         sym = SymbolFunction.from_asymptotics(plus, m)
         assert winding_analytic(sym, plus) == m
-        minus = asymptotics(params, MINUS_INF)
+        minus = AsymptoticData.from_params(params, MINUS_INF)
         assert winding_analytic(SymbolFunction.from_asymptotics(minus, m), minus) == -m
 
 
@@ -134,7 +134,7 @@ def test_analytic_winding_degenerate_segment_case():
                            p=real_profile(0, 0), a=real_profile(0.6, 0.6),
                            q=ParameterProfile.constant(1.0),
                            b=ParameterProfile.constant(0.8))
-    plus = asymptotics(params, PLUS_INF)
+    plus = AsymptoticData.from_params(params, PLUS_INF)
     sym = SymbolFunction.from_asymptotics(plus, 1)
     assert abs(sym.c) > 0
     assert winding_analytic(sym, plus) == 0
@@ -152,7 +152,7 @@ def test_analytic_winding_outside_the_ellipse():
 
 
 def test_analytic_winding_rejects_a_vanishing_symbol():
-    plus = asymptotics(tie_params(), PLUS_INF)
+    plus = AsymptoticData.from_params(tie_params(), PLUS_INF)
     sym = SymbolFunction.from_asymptotics(plus, 1)
     values = sym.evaluate(np.exp(1j * np.linspace(0, 2 * np.pi, 4096)))
     assert np.min(np.abs(values)) < 1e-8        # it really does vanish
@@ -175,7 +175,7 @@ def test_numeric_winding_of_a_monomial(m):
 
 
 def test_numeric_winding_refuses_near_zero_symbols():
-    plus = asymptotics(tie_params(), PLUS_INF)
+    plus = AsymptoticData.from_params(tie_params(), PLUS_INF)
     sym = SymbolFunction.from_asymptotics(plus, 1)
     with pytest.raises(SymbolNearZeroError):
         winding_numeric(sym)
@@ -187,7 +187,7 @@ def test_numeric_winding_agrees_with_the_analytic_route():
         params = random_fredholm_params(rng)
         syms = symbols_from_block(params)
         for star in (MINUS_INF, PLUS_INF):
-            asym = asymptotics(params, star)
+            asym = AsymptoticData.from_params(params, star)
             assert winding_numeric(syms[star]) == winding_analytic(syms[star], asym)
 
 
@@ -229,7 +229,8 @@ def test_symbols_from_block_match_the_closed_form():
         syms = symbols_from_block(params)
         z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 37))
         for star in (MINUS_INF, PLUS_INF):
-            closed = SymbolFunction.from_asymptotics(asymptotics(params, star), params.m)
+            asym = AsymptoticData.from_params(params, star)
+            closed = SymbolFunction.from_asymptotics(asym, params.m)
             assert np.max(np.abs(syms[star].evaluate(z) - closed.evaluate(z))) < 1e-12
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chiralwalk.lattice import BandedOperator, adjoint, compose, finite_section, shift
+from chiralwalk.lattice import BandedOperator, compose, finite_section
 from chiralwalk.profiles import ParameterProfile
 
 
@@ -22,12 +22,12 @@ def random_operator(rng, block_size=2, bandwidth=1, sites=3):
 
 
 def test_shift_zero_is_identity():
-    assert shift(0).allclose(BandedOperator.identity(1))
+    assert BandedOperator.shift(0).allclose(BandedOperator.identity(1))
 
 
 def test_shift_moves_delta_to_the_left():
-    # (shift(1) psi)(x) = psi(x + 1): a delta at site 0 lands at site -1
-    sec = shift(1).finite_section(2)
+    # (shift^1 psi)(x) = psi(x + 1): a delta at site 0 lands at site -1
+    sec = BandedOperator.shift(1).finite_section(2)
     delta = np.zeros(5)
     delta[2] = 1.0            # site 0 in the window [-2, 2]
     moved = sec.matrix @ delta
@@ -35,14 +35,15 @@ def test_shift_moves_delta_to_the_left():
 
 
 def test_shift_superdiagonal_section():
-    sec = shift(1).finite_section(2)
+    sec = BandedOperator.shift(1).finite_section(2)
     assert np.array_equal(sec.matrix.real, np.eye(5, k=1))
     assert sec.matrix.shape == (5, 5)
 
 
 def test_shift_inverse_pair():
-    assert compose(shift(1), shift(-1)).allclose(BandedOperator.identity(1))
-    assert compose(shift(-3), shift(3)).allclose(BandedOperator.identity(1))
+    shift, identity = BandedOperator.shift, BandedOperator.identity(1)
+    assert compose(shift(1), shift(-1)).allclose(identity)
+    assert compose(shift(-3), shift(3)).allclose(identity)
 
 
 def test_compose_identity_is_neutral():
@@ -54,7 +55,7 @@ def test_compose_identity_is_neutral():
 
 def test_compose_shift_with_multiplication_shifts_the_profile():
     gamma = ParameterProfile.two_phase(0.3, 0.7, {0: 0.5}, kind="real")
-    op = compose(shift(1), BandedOperator.multiplication([[gamma]]))
+    op = compose(BandedOperator.shift(1), BandedOperator.multiplication([[gamma]]))
     prof = op.coefficient(0, 0, 1)
     for x in range(-4, 4):
         assert prof.value(x) == gamma.value(x + 1)
@@ -86,20 +87,20 @@ def test_compose_block_size_mismatch():
 
 
 def test_adjoint_of_shift():
-    assert adjoint(shift(1)).allclose(shift(-1))
+    assert BandedOperator.shift(1).adjoint().allclose(BandedOperator.shift(-1))
 
 
 def test_adjoint_is_an_involution():
     rng = np.random.default_rng(4)
     op = random_operator(rng)
-    assert adjoint(adjoint(op)).allclose(op, tol=1e-14)
+    assert op.adjoint().adjoint().allclose(op, tol=1e-14)
 
 
 def test_adjoint_section_is_the_conjugate_transpose():
     rng = np.random.default_rng(5)
     op = random_operator(rng, block_size=2, bandwidth=2)
     sec = finite_section(op, 7).matrix
-    sec_adj = finite_section(adjoint(op), 7).matrix
+    sec_adj = finite_section(op.adjoint(), 7).matrix
     assert np.max(np.abs(sec_adj - sec.conj().T)) == 0.0
 
 
@@ -107,14 +108,14 @@ def test_adjoint_antihomomorphism():
     rng = np.random.default_rng(6)
     a = random_operator(rng)
     b = random_operator(rng)
-    assert adjoint(compose(a, b)).allclose(compose(adjoint(b), adjoint(a)), tol=1e-12)
+    assert compose(a, b).adjoint().allclose(compose(b.adjoint(), a.adjoint()), tol=1e-12)
 
 
 def test_eventual_constancy_closed_under_algebra():
     rng = np.random.default_rng(7)
     a = random_operator(rng)
     b = random_operator(rng)
-    for op in (compose(a, b), adjoint(a), a + b, a.scaled(2.0j)):
+    for op in (compose(a, b), a.adjoint(), a + b, a.scaled(2.0j)):
         assert all(prof.support_radius < 20 for prof in op.coeff.values())
 
 
@@ -122,11 +123,11 @@ def test_finite_section_identity_and_window_error():
     sec = finite_section(BandedOperator.identity(3), 4)
     assert np.array_equal(sec.matrix, np.eye(27))
     with pytest.raises(ValueError):
-        finite_section(shift(3), 2)
+        finite_section(BandedOperator.shift(3), 2)
 
 
 def test_boundary_rows_are_flagged():
-    sec = finite_section(shift(2), 5)
+    sec = finite_section(BandedOperator.shift(2), 5)
     mask = sec.boundary_row_mask()
     sites = sec.block_sites()
     assert np.array_equal(mask, np.abs(sites) > 3)

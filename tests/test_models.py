@@ -287,10 +287,10 @@ def _extreme_p_params(sign_right):
 
 def test_endpoint_angles_default_to_zero_where_the_value_vanishes():
     params = _extreme_p_params(+1)
-    from chiralwalk import asymptotics
-    plus = asymptotics(params, "+inf")
+    from chiralwalk import AsymptoticData
+    plus = AsymptoticData.from_params(params, "+inf")
     assert plus.q == 0 and plus.theta == 0.0
-    minus = asymptotics(params, "-inf")
+    minus = AsymptoticData.from_params(params, "-inf")
     assert abs(minus.theta - 0.4) < 1e-15      # arg of 0.8 e^{0.4i}
     assert 0.0 <= minus.theta_prime < 2 * math.pi
 

@@ -29,6 +29,14 @@ def test_real_kind_rejects_imaginary_values():
         ParameterProfile.two_phase(1.0, 2.0, {0: 1j}, kind=REAL)
 
 
+def test_non_finite_values_are_rejected():
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            ParameterProfile.two_phase(bad, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ParameterProfile.two_phase(1.0, 1.0, {2: bad})
+
+
 def test_shift_matches_brute_force_window():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from chiralwalk import (
+    AsymptoticData,
+    EndpointSpectrumData,
     ModelParamsUm,
-    asymptotics,
     classify_case,
-    endpoint_data,
     essential_spectrum,
     g_map,
     sigma_star,
@@ -36,7 +37,7 @@ G_LAMBDA_PLUS_REF = 1.05881094872579
 def test_reference_endpoint_scalars():
     params = reference_params()
     for star in (MINUS_INF, PLUS_INF):
-        data = endpoint_data(asymptotics(params, star))
+        data = EndpointSpectrumData.from_asymptotics(AsymptoticData.from_params(params, star))
         assert data.s == 1
         assert abs(data.gamma_minus - GAMMA_MINUS_REF) < 1e-14
         assert abs(data.gamma_plus - GAMMA_PLUS_REF) < 1e-14
@@ -51,14 +52,14 @@ def test_vanishing_diagonal_weight_gives_infinite_gamma_range():
                            p=real_profile(0, 0), a=real_profile(0.7, 0.7),
                            q=ParameterProfile.constant(1.0),
                            b=ParameterProfile.constant(math.sqrt(0.51)))
-    data = endpoint_data(asymptotics(params, PLUS_INF))
+    data = EndpointSpectrumData.from_asymptotics(AsymptoticData.from_params(params, PLUS_INF))
     assert math.isinf(data.gamma_minus) and math.isinf(data.gamma_plus)
     assert classify_case(data, 123.0) == "I"
 
 
 def test_reference_classification_cases():
-    asym = asymptotics(reference_params(), PLUS_INF)
-    data = endpoint_data(asym)
+    asym = AsymptoticData.from_params(reference_params(), PLUS_INF)
+    data = EndpointSpectrumData.from_asymptotics(asym)
     assert classify_case(data, 0.4) == "II"
     assert classify_case(data, 0.0) == "I"
     assert classify_case(data, data.gamma_minus) == "I"       # boundary closes Case I
@@ -71,8 +72,8 @@ def test_zero_gain_is_always_case_one():
     for _ in range(10):
         params = random_fredholm_params(rng, gamma_zero=True)
         for star in (MINUS_INF, PLUS_INF):
-            asym = asymptotics(params, star)
-            data = endpoint_data(asym)
+            asym = AsymptoticData.from_params(params, star)
+            data = EndpointSpectrumData.from_asymptotics(asym)
             assert classify_case(data, asym.gamma) == "I"
             assert data.lam_plus <= 1.0 + 1e-12
 
@@ -83,10 +84,24 @@ def test_degenerate_boundary_is_flagged():
                            p=real_profile(0.6, 0.6), a=real_profile(1.0, 1.0),
                            q=ParameterProfile.constant(0.8),
                            b=ParameterProfile.constant(0.0))
-    data = endpoint_data(asymptotics(params, PLUS_INF))
+    data = EndpointSpectrumData.from_asymptotics(AsymptoticData.from_params(params, PLUS_INF))
     assert data.gamma_minus == data.gamma_plus
     with pytest.warns(UserWarning):
         assert classify_case(data, data.gamma_plus) == "I"
+
+
+def test_degenerate_boundary_warns_once_per_endpoint():
+    # b = 0 and gamma = acosh(1 / |p a|) / 2 put both endpoints on both closed boundaries
+    gamma = 0.5 * math.acosh(2.0)
+    params = ModelParamsUm(m=1, gamma=real_profile(gamma, gamma),
+                           p=real_profile(0.5, 0.5), a=real_profile(1.0, 1.0),
+                           q=ParameterProfile.constant(math.sqrt(0.75)),
+                           b=ParameterProfile.constant(0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = essential_spectrum(params, 256)
+    assert len(caught) == 2
+    assert result.minus.case_tag == result.plus.case_tag == "I"
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +114,12 @@ def test_gamma_bounds_invert_the_gain_threshold():
     for _ in range(15):
         params = random_fredholm_params(rng)
         for star in (MINUS_INF, PLUS_INF):
-            asym = asymptotics(params, star)
+            asym = AsymptoticData.from_params(params, star)
             pa = abs(asym.p * asym.a)
             if pa == 0.0:
                 continue
             qb = abs(asym.q * asym.b)
-            data = endpoint_data(asym)
+            data = EndpointSpectrumData.from_asymptotics(asym)
             assert abs(pa * math.cosh(2 * data.gamma_minus) - (1 - qb)) < 1e-10
             assert abs(pa * math.cosh(2 * data.gamma_plus) - (1 + qb)) < 1e-10
 
@@ -132,7 +147,7 @@ def test_g_map_rejects_the_gap():
 # ---------------------------------------------------------------------------
 
 def test_reference_spectral_set_case_two():
-    sset = sigma_star(asymptotics(reference_params(), PLUS_INF))
+    sset = sigma_star(AsymptoticData.from_params(reference_params(), PLUS_INF))
     assert sset.case_tag == "II" and sset.sign_tag == 1
     (arc,) = sset.arcs
     (segment,) = sset.segments
@@ -146,8 +161,8 @@ def test_mirrored_sign_gives_the_mirrored_set():
     base = reference_params()
     flipped = ModelParamsUm(m=1, gamma=base.gamma, p=base.p,
                             a=real_profile(0.1, -0.1), q=base.q, b=base.b)
-    plus = sigma_star(asymptotics(base, PLUS_INF))
-    minus = sigma_star(asymptotics(flipped, PLUS_INF))
+    plus = sigma_star(AsymptoticData.from_params(base, PLUS_INF))
+    minus = sigma_star(AsymptoticData.from_params(flipped, PLUS_INF))
     assert minus.sign_tag == -1 and minus.case_tag == "II"
     (arc_p,), (arc_m,) = plus.arcs, minus.arcs
     (seg_p,), (seg_m,) = plus.segments, minus.segments
@@ -162,7 +177,7 @@ def test_plain_coin_walk_set_is_a_symmetric_arc_pair():
                            p=real_profile(0, 0), a=real_profile(0.6, 0.6),
                            q=ParameterProfile.constant(1.0),
                            b=ParameterProfile.constant(bv))
-    sset = sigma_star(asymptotics(params, PLUS_INF))
+    sset = sigma_star(AsymptoticData.from_params(params, PLUS_INF))
     assert sset.case_tag == "I"
     assert sset.arcs == ((-bv, bv),)
     assert not sset.contains(1.0, tol=1e-6) and not sset.contains(-1.0, tol=1e-6)
@@ -200,7 +215,7 @@ def test_symbol_determinant_is_one_on_the_circle():
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=16))
         for star in (MINUS_INF, PLUS_INF):
-            mats = symbol_matrix(asymptotics(params, star), z, params.m)
+            mats = symbol_matrix(AsymptoticData.from_params(params, star), z, params.m)
             assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-12
 
 
@@ -210,7 +225,7 @@ def test_symbol_trace_formula():
         params = random_fredholm_params(rng)
         t = rng.uniform(0, 2 * np.pi, size=8)
         for star in (MINUS_INF, PLUS_INF):
-            asym = asymptotics(params, star)
+            asym = AsymptoticData.from_params(params, star)
             mats = symbol_matrix(asym, np.exp(1j * t), params.m)
             trace = mats[..., 0, 0] + mats[..., 1, 1]
             expected = 2 * (asym.p * asym.a * math.cosh(2 * asym.gamma)
@@ -223,7 +238,7 @@ def test_symbol_is_unitary_without_gain():
     rng = np.random.default_rng(44)
     params = random_fredholm_params(rng, gamma_zero=True)
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 9))
-    mats = symbol_matrix(asymptotics(params, PLUS_INF), z, params.m)
+    mats = symbol_matrix(AsymptoticData.from_params(params, PLUS_INF), z, params.m)
     gram = np.einsum("...ji,...jk->...ik", mats.conj(), mats)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
@@ -234,7 +249,7 @@ def test_symbol_eigenvalue_pairs():
                          p=real_profile(1, 1), a=real_profile(1, 1),
                          q=ParameterProfile.constant(0.0),
                          b=ParameterProfile.constant(0.0))
-    eigs = symbol_eigenvalues(asymptotics(flat, PLUS_INF), 1.0, 1)
+    eigs = symbol_eigenvalues(AsymptoticData.from_params(flat, PLUS_INF), 1.0, 1)
     assert np.max(np.abs(eigs - 1.0)) < 1e-12
 
     # oscillatory instance: conjugate pairs on the circle
@@ -243,7 +258,7 @@ def test_symbol_eigenvalue_pairs():
                            q=ParameterProfile.constant(math.sqrt(0.91)),
                            b=ParameterProfile.constant(0.6))
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 41))
-    eigs = symbol_eigenvalues(asymptotics(circle, PLUS_INF), z, 1)
+    eigs = symbol_eigenvalues(AsymptoticData.from_params(circle, PLUS_INF), z, 1)
     assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-9
     assert np.max(np.abs(eigs[:, 0] - eigs[:, 1].conj())) < 1e-9
 
@@ -252,7 +267,7 @@ def test_symbol_eigenvalue_pairs():
                          p=real_profile(0.8, 0.8), a=real_profile(0.8, 0.8),
                          q=ParameterProfile.constant(0.6),
                          b=ParameterProfile.constant(0.6))
-    eigs = symbol_eigenvalues(asymptotics(real, PLUS_INF), z, 1)
+    eigs = symbol_eigenvalues(AsymptoticData.from_params(real, PLUS_INF), z, 1)
     assert np.max(np.abs(eigs.imag)) < 1e-9
     assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-9
 
@@ -262,7 +277,7 @@ def test_symbol_eigenvalue_product_is_always_one():
     for _ in range(10):
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=12))
-        eigs = symbol_eigenvalues(asymptotics(params, MINUS_INF), z, params.m)
+        eigs = symbol_eigenvalues(AsymptoticData.from_params(params, MINUS_INF), z, params.m)
         assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-12
 
 
