@@ -35,13 +35,17 @@ def _scalar(node, path: str, kind: str) -> complex:
     if isinstance(node, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
     if isinstance(node, (int, float)):
-        value = complex(node)
+        parts = (node,)
     elif isinstance(node, list) and len(node) == 2 and all(
         isinstance(u, (int, float)) and not isinstance(u, bool) for u in node
     ):
-        value = complex(node[0], node[1])
+        parts = node
     else:
         raise ConfigError(f"{path}: expected a number or [re, im] pair")
+    try:
+        value = complex(*parts)
+    except OverflowError as err:          # a JSON integer beyond the float range
+        raise ConfigError(f"{path}: number too large for a float") from err
     if not cmath.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {node}")
     if kind == REAL and value.imag != 0.0:

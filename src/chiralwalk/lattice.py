@@ -5,7 +5,10 @@ An operator is stored as a finite family of coefficient profiles
 ``sum_y  a[i,j,y](x) * (shift^y)``, where ``(shift^y psi)(x) = psi(x + y)``.
 All coefficients are eventually constant (:class:`ParameterProfile`), so
 composition, adjoints and endpoint limits are computed exactly at the
-coefficient level; dense matrices enter only through finite sections.
+coefficient level.  Matrices enter only through finite sections, assembled
+from the same vectorised entries either as a sparse CSR array
+(:meth:`BandedOperator.sparse_section`, for banded products and eigensolves) or
+as a dense array (:meth:`BandedOperator.finite_section`, for full spectra).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .profiles import ParameterProfile
 
@@ -155,21 +159,43 @@ class BandedOperator:
 
     # -- finite sections -------------------------------------------------------
 
-    def finite_section(self, window: int) -> "FiniteSection":
-        """Compression to sites [-N, N] with zero padding outside."""
+    def _section_triplets(self, window: int):
+        """``(rows, cols, vals)`` of every entry of the section on [-N, N].
+
+        Each coefficient ``(i, j, y)`` contributes one entry per site ``x``
+        with ``x`` and ``x + y`` inside the window; no two coefficients share
+        an entry.
+        """
         N = int(window)
         k = self.bandwidth
         if N < k:
             raise ValueError(f"window {N} smaller than bandwidth {k}")
         n = self.block_size
-        size = n * (2 * N + 1)
-        mat = np.zeros((size, size), dtype=complex)
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
         for (i, j, y), prof in self.coeff.items():
-            for x in range(-N, N + 1):
-                xp = x + y
-                if -N <= xp <= N:
-                    mat[(x + N) * n + i, (xp + N) * n + j] += prof.value(x)
-        return FiniteSection(N, n, k, mat)
+            xs = np.arange(max(-N, -N - y), min(N, N - y) + 1)
+            rows.append((xs + N) * n + i)
+            cols.append((xs + y + N) * n + j)
+            vals.append(prof.values(xs))
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    def sparse_section(self, window: int) -> sparse.csr_array:
+        """Compression to sites [-N, N] as a CSR array (same entries as :meth:`finite_section`)."""
+        size = self.block_size * (2 * int(window) + 1)
+        rows, cols, vals = self._section_triplets(window)
+        return sparse.csr_array((vals, (rows, cols)), shape=(size, size))
+
+    def finite_section(self, window: int) -> "FiniteSection":
+        """Dense compression to sites [-N, N] with zero padding outside."""
+        N = int(window)
+        n = self.block_size
+        size = n * (2 * N + 1)
+        rows, cols, vals = self._section_triplets(N)
+        # Scatter into zeros rather than densify the CSR array: only the band
+        # is written, so untouched pages of a large section are never mapped.
+        mat = np.zeros((size, size), dtype=complex)
+        mat[rows, cols] += vals
+        return FiniteSection(N, n, self.bandwidth, mat)
 
 
 @dataclass
@@ -204,13 +230,6 @@ class FiniteSection:
         """True for rows flagged boundary-affected (within k of the edge)."""
         sites = self.block_sites()
         return np.abs(sites) > self.window - self.source_bandwidth
-
-    def interior(self, margin: int | None = None) -> np.ndarray:
-        """Square sub-matrix on the window shrunk by ``margin`` on both sides."""
-        if margin is None:
-            margin = self.source_bandwidth
-        idx = self.rows_within(margin)
-        return self.matrix[np.ix_(idx, idx)]
 
 
 # Function forms of the two operations the benchmark's span tracer times by name

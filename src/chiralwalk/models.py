@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .lattice import BandedOperator
 from .profiles import MINUS_INF, PLUS_INF, REAL, STARS, ParameterProfile
 
 NORMALIZATION_TOL = 1e-12
+# Largest |gamma| for which the coin's gains exp(+-2 gamma) (and the cosh(2 gamma)
+# of the endpoint formulas) are finite floats.
+GAMMA_LIMIT = 0.5 * math.log(sys.float_info.max)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -58,6 +62,15 @@ def _check_normalized(u: ParameterProfile, v: ParameterProfile, label: str):
         raise InvalidParameters(f"{label} normalization violated by {worst:.3e}")
 
 
+def _check_gain(gamma: ParameterProfile):
+    """Reject a gain whose exp(2|gamma|) overflows (a range error, not a model constraint)."""
+    worst = gamma.max_abs()
+    if worst > GAMMA_LIMIT:
+        raise ValueError(
+            f"gamma = {worst:g} out of range: exp(2|gamma|) overflows beyond |gamma| = {GAMMA_LIMIT:.4f}"
+        )
+
+
 def _require_real(prof: ParameterProfile, name: str) -> ParameterProfile:
     if prof.value_kind != REAL:
         # accept complex-kind profiles whose values happen to be real
@@ -85,6 +98,7 @@ class ModelParamsUm:
         object.__setattr__(self, "m", int(self.m))
         for name in ("gamma", "p", "a"):
             object.__setattr__(self, name, _require_real(getattr(self, name), name))
+        _check_gain(self.gamma)
         _check_normalized(self.p, self.q, "p^2 + |q|^2 = 1")
         _check_normalized(self.a, self.b, "a^2 + |b|^2 = 1")
 
@@ -104,6 +118,7 @@ class ModelParamsMko:
     def __post_init__(self):
         for name in ("gamma", "phi", "theta1", "theta2"):
             object.__setattr__(self, name, _require_real(getattr(self, name), name))
+        _check_gain(self.gamma)
 
     def is_unitary_instance(self, tol: float = NORMALIZATION_TOL) -> bool:
         return self.gamma.max_abs() <= tol

@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MINUS_INF = "-inf"
 PLUS_INF = "+inf"
 STARS = (MINUS_INF, PLUS_INF)
@@ -80,6 +82,13 @@ class ParameterProfile:
         if v is not None:
             return v
         return self.left_limit if x < 0 else self.right_limit
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`value` at every site of the integer array ``xs``."""
+        out = np.where(xs < 0, self.left_limit, self.right_limit)
+        for site, v in self.overrides.items():
+            out[xs == site] = v
+        return out
 
     def limit(self, star: str) -> complex:
         if star == MINUS_INF:

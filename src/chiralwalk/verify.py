@@ -1,9 +1,13 @@
 """Finite-section numerical verification.
 
-Everything here works on dense truncations, deliberately independent of the
-exact coefficient-level algebra: residuals compare matrix products of finite
-sections on interior rows, spectra come from dense eigensolvers, and kernel
-evidence comes from singular values.
+Everything here works on finite sections, deliberately independent of the
+exact coefficient-level algebra.  Residuals and the kernel witness use only
+banded (sparse) algebra, so their cost grows linearly in the window: residuals
+compare sparse matrix products of finite sections on interior rows, and the
+witness takes singular values from a banded Hermitian eigensolve.  Dense
+matrices appear only where a full spectrum is needed (truncated spectra,
+bound states, the unitary mapping check), and :data:`DENSE_BUDGET` bounds
+their window.
 
 Finite sections cannot compute a signed Fredholm index (square matrices have
 index zero), so this module provides witnesses: counts of near-kernel
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
 from .index import compute_index
 from .lattice import BandedOperator
@@ -53,11 +58,12 @@ def build_pair(params):
     return grading(params), walk(params)
 
 
-def _interior_max(section, margin: int, matrix: np.ndarray) -> float:
-    rows = section.rows_within(margin)
-    if len(rows) == 0:
-        raise ValueError(f"window {section.window} leaves no interior at margin {margin}")
-    return float(np.max(np.abs(matrix[rows])))
+def _interior_max(diff, window: int, block_size: int, margin: int) -> float:
+    """Max |entry| of the sparse ``diff`` over block rows at distance >= margin from the edge."""
+    if margin > window:
+        raise ValueError(f"window {window} leaves no interior at margin {margin}")
+    rows = diff[block_size * margin:block_size * (2 * window + 1 - margin)]
+    return float(np.max(np.abs(rows.data), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +73,19 @@ def _interior_max(section, margin: int, matrix: np.ndarray) -> float:
 def chiral_residual_operators(grading_op: BandedOperator, walk_op: BandedOperator, window: int) -> float:
     """Max interior entry of section(walk*) - section(grading walk grading)."""
     margin = 2 * grading_op.bandwidth + walk_op.bandwidth
-    sec_u = walk_op.finite_section(window)
-    sec_g = grading_op.finite_section(window).matrix
-    sec_adj = walk_op.adjoint().finite_section(window).matrix
-    diff = sec_adj - sec_g @ sec_u.matrix @ sec_g
-    return _interior_max(sec_u, margin, diff)
+    sec_u = walk_op.sparse_section(window)
+    sec_g = grading_op.sparse_section(window)
+    sec_adj = walk_op.adjoint().sparse_section(window)
+    diff = sec_adj - sec_g @ sec_u @ sec_g
+    return _interior_max(diff, window, walk_op.block_size, margin)
 
 
 def involution_residual_operators(grading_op: BandedOperator, window: int) -> float:
     """Max interior entry of section(grading)^2 - identity."""
-    sec = grading_op.finite_section(window)
-    diff = sec.matrix @ sec.matrix - np.eye(sec.size)
-    return _interior_max(sec, 2 * grading_op.bandwidth, diff)
+    n = grading_op.block_size
+    sec = grading_op.sparse_section(window)
+    diff = sec @ sec - BandedOperator.identity(n).sparse_section(window)
+    return _interior_max(diff, window, n, 2 * grading_op.bandwidth)
 
 
 def verify_chiral(params, window: int, tol: float = RESIDUAL_TOL) -> float:
@@ -99,12 +106,12 @@ def equivalence_residual(params: ModelParamsMko, window: int) -> float:
     um, eta = mko_to_um(params)
     walk_mko = mko_walk(params)
     margin = 2 * eta.bandwidth + walk_mko.bandwidth
-    sec = walk_mko.finite_section(window)
-    s_eta = eta.finite_section(window).matrix
-    s_eta_adj = eta.adjoint().finite_section(window).matrix
-    conjugated = s_eta_adj @ sec.matrix @ s_eta
-    reduced = walk(um).finite_section(window).matrix
-    return _interior_max(sec, margin, conjugated - reduced)
+    sec = walk_mko.sparse_section(window)
+    s_eta = eta.sparse_section(window)
+    s_eta_adj = eta.adjoint().sparse_section(window)
+    conjugated = s_eta_adj @ sec @ s_eta
+    reduced = walk(um).sparse_section(window)
+    return _interior_max(conjugated - reduced, window, walk_mko.block_size, margin)
 
 
 def normalization_residuals(params: ModelParamsUm) -> dict:
@@ -116,7 +123,7 @@ def normalization_residuals(params: ModelParamsUm) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dense spectra and kernels
+# dense spectra and the banded kernel witness
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -180,6 +187,29 @@ class KernelWitness:
         return float(self.singular_values[0])
 
 
+def _singular_values_banded(a, bandwidth: int) -> np.ndarray:
+    """All singular values, ascending, of a square sparse ``a`` of the given bandwidth.
+
+    They are the non-negative eigenvalues of the Hermitian dilation
+    [[0, a], [a*, 0]] (Golub & Kahan).  Interleaving its rows and columns as
+    (row 0, col 0, row 1, col 1, ...) puts a[i, j] at (2i, 2j + 1), so the
+    dilation has bandwidth 2 * bandwidth + 1 and one banded eigensolve
+    yields every singular value.  Squaring into a* a instead would lose
+    every singular value below about 1e-8.
+    """
+    size = a.shape[0]
+    u = 2 * bandwidth + 1
+    entries = a.tocoo()
+    i, j, v = entries.row, entries.col, entries.data
+    band = np.zeros((u + 1, 2 * size), dtype=complex)   # upper storage: H[r, c] at [u + r - c, c]
+    upper = i <= j                                      # (2i, 2j + 1) lies above the diagonal
+    band[u + 2 * i[upper] - 2 * j[upper] - 1, 2 * j[upper] + 1] = v[upper]
+    lower = ~upper                                      # mirror image (2j + 1, 2i)
+    band[u + 2 * j[lower] + 1 - 2 * i[lower], 2 * i[lower]] = v[lower].conj()
+    eigenvalues = eigvals_banded(band, lower=False)     # ascending, +-sigma pairs
+    return np.sort(np.abs(eigenvalues[size:]))
+
+
 def kernel_witness(params: ModelParamsUm, window: int,
                    threshold: float = KERNEL_THRESHOLD,
                    phase: ParameterProfile | None = None) -> KernelWitness:
@@ -193,9 +223,9 @@ def kernel_witness(params: ModelParamsUm, window: int,
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
     block = offdiag_block(params, phase)
-    section = block.finite_section(window)
-    inner = section.interior()
-    svals = np.sort(np.linalg.svd(inner, compute_uv=False))
+    k = block.bandwidth
+    inner = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
+    svals = _singular_values_banded(inner, k)
     small = [(float(s), rank) for rank, s in enumerate(svals) if s < threshold]
     return KernelWitness(window, threshold, svals, small)
 

@@ -175,6 +175,19 @@ def test_non_finite_config_values_exit_1(tmp_path, capsys, command, bad):
     assert "profiles.p.left" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["index", "spectrum", "verify"])
+@pytest.mark.parametrize("gamma, named", [
+    ({"left": 10 ** 400, "right": 0.4}, "profiles.gamma.left"),   # beyond the float range
+    ({"left": 400, "right": 400}, "gamma = 400"),                # exp(2 gamma) overflows
+])
+def test_out_of_range_gamma_exits_1_with_one_line(tmp_path, capsys, command, gamma, named):
+    doc = um_document()
+    doc["profiles"]["gamma"] = gamma
+    assert main([command, write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_corrupted_normalization_exit_codes(tmp_path, capsys):
     doc = um_document()
     doc["profiles"]["b"] = {"left": math.sqrt(1.01 - 0.01), "right": math.sqrt(1.01 - 0.01)}

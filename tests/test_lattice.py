@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from chiralwalk.lattice import BandedOperator, compose, finite_section
+from chiralwalk.models import grading, mko_grading, mko_to_um, mko_walk, walk
 from chiralwalk.profiles import ParameterProfile
+
+from conftest import reference_mko_params, reference_params
 
 
 def random_operator(rng, block_size=2, bandwidth=1, sites=3):
@@ -140,3 +143,47 @@ def test_sections_vanish_beyond_the_band():
     sites = sec.block_sites()
     beyond = np.abs(sites[:, None] - sites[None, :]) > op.bandwidth
     assert np.all(sec.matrix[beyond] == 0.0)
+
+
+def loop_section(op, window):
+    """Reference assembly: one Python step per coefficient and site."""
+    n = op.block_size
+    mat = np.zeros((n * (2 * window + 1),) * 2, dtype=complex)
+    for (i, j, y), prof in op.coeff.items():
+        for x in range(-window, window + 1):
+            if -window <= x + y <= window:
+                mat[(x + window) * n + i, (x + y + window) * n + j] += prof.value(x)
+    return mat
+
+
+def model_operators():
+    um = reference_params(m=2)
+    mko = reference_mko_params()
+    return {
+        "walk": walk(um),
+        "grading": grading(um),
+        "adjoint": walk(um).adjoint(),
+        "mko walk": mko_walk(mko),
+        "mko grading": mko_grading(mko),
+        "conjugator": mko_to_um(mko)[1],
+        "random": random_operator(np.random.default_rng(9), block_size=3, bandwidth=2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(model_operators()))
+def test_sparse_and_dense_sections_match_the_site_loop_bit_for_bit(name):
+    op = model_operators()[name]
+    for window in (op.bandwidth, 50):
+        reference = loop_section(op, window)
+        assert finite_section(op, window).matrix.tobytes() == reference.tobytes()
+        sparse = op.sparse_section(window)
+        assert sparse.shape == reference.shape
+        assert sparse.toarray().tobytes() == reference.tobytes()
+
+
+def test_sparse_section_of_the_zero_operator_is_empty():
+    zero = BandedOperator(2, 0, {})
+    assert zero.sparse_section(3).nnz == 0
+    assert not finite_section(zero, 3).matrix.any()
+    with pytest.raises(ValueError):
+        BandedOperator.shift(3).sparse_section(2)

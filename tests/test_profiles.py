@@ -93,3 +93,9 @@ def test_allclose_and_max_abs_diff():
     assert u.allclose(v)
     assert not u.allclose(v, tol=1e-14)
     assert abs(u.max_abs_diff(v) - 5e-13) < 1e-15
+
+
+def test_values_matches_value_sitewise():
+    prof = ParameterProfile.two_phase(0.3 + 1j, -2.0, {-2: 5.0, 0: 1j, 7: 0.25})
+    xs = np.arange(-9, 10)
+    assert np.array_equal(prof.values(xs), [prof.value(int(x)) for x in xs])

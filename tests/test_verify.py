@@ -15,9 +15,18 @@ from chiralwalk import (
     truncated_spectrum,
     verify_chiral,
 )
-from chiralwalk.models import coin_from_profiles, grading_from_profiles
+from chiralwalk.models import (
+    coin_from_profiles,
+    grading_from_profiles,
+    mko_to_um,
+    mko_walk,
+    offdiag_block,
+    walk,
+)
 from chiralwalk.profiles import ParameterProfile
 from chiralwalk.verify import (
+    DENSE_BUDGET,
+    build_pair,
     chiral_residual_operators,
     equivalence_residual,
     involution_residual_operators,
@@ -26,6 +35,7 @@ from chiralwalk.verify import (
 )
 
 from conftest import (
+    random_fredholm_params,
     random_mko_params,
     random_um_params,
     real_profile,
@@ -50,6 +60,50 @@ def test_equivalence_residual_on_random_draws():
     rng = np.random.default_rng(51)
     for _ in range(10):
         assert equivalence_residual(random_mko_params(rng), 100) < 1e-10
+
+
+def dense_interior_max(section, margin, diff):
+    return float(np.max(np.abs(diff[section.rows_within(margin)])))
+
+
+def test_sparse_residuals_match_dense_products():
+    rng = np.random.default_rng(52)
+    window = 40
+    for _ in range(20):
+        grading_op, walk_op = build_pair(random_fredholm_params(rng))
+        sec_u = walk_op.finite_section(window)
+        g = grading_op.finite_section(window).matrix
+        u_adj = walk_op.adjoint().finite_section(window).matrix
+        dense = dense_interior_max(sec_u, 2 * grading_op.bandwidth + walk_op.bandwidth,
+                                   u_adj - g @ sec_u.matrix @ g)
+        assert abs(chiral_residual_operators(grading_op, walk_op, window) - dense) <= 1e-15
+        sec_g = grading_op.finite_section(window)
+        dense = dense_interior_max(sec_g, 2 * grading_op.bandwidth,
+                                   g @ g - np.eye(sec_g.size))
+        assert abs(involution_residual_operators(grading_op, window) - dense) <= 1e-15
+    for _ in range(10):
+        params = random_mko_params(rng)
+        um, eta = mko_to_um(params)
+        sec = mko_walk(params).finite_section(window)
+        e = eta.finite_section(window).matrix
+        e_adj = eta.adjoint().finite_section(window).matrix
+        reduced = walk(um).finite_section(window).matrix
+        dense = dense_interior_max(sec, 2 * eta.bandwidth + sec.source_bandwidth,
+                                   e_adj @ sec.matrix @ e - reduced)
+        assert abs(equivalence_residual(params, window) - dense) <= 1e-15
+
+
+def test_residuals_beyond_the_dense_budget():
+    window = 5000
+    assert window > DENSE_BUDGET
+    assert chiral_residual_operators(*build_pair(reference_params(m=2)), window) < 1e-10
+    assert equivalence_residual(reference_mko_params(), window) < 1e-10
+
+
+def test_residual_window_must_leave_an_interior():
+    grading_op, walk_op = build_pair(reference_params(m=2))
+    with pytest.raises(ValueError, match="no interior"):
+        chiral_residual_operators(grading_op, walk_op, 5)
 
 
 def test_corrupted_grading_normalization_breaks_chirality():
@@ -166,6 +220,22 @@ def test_witness_diagonal_closed_form():
     # to zero and the interior restriction shaves nothing
     expected = np.sort([abs(q.value(x)) for x in range(-12, 13)])
     assert np.allclose(witness.singular_values, expected, atol=1e-12)
+
+
+def test_witness_matches_dense_svd():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        params = random_fredholm_params(rng)
+        block = offdiag_block(params)
+        for window in (100, 300):
+            witness = kernel_witness(params, window)
+            section = block.finite_section(window)
+            inner = section.rows_within(block.bandwidth)
+            svals = np.sort(np.linalg.svd(section.matrix[np.ix_(inner, inner)],
+                                          compute_uv=False))
+            assert len(witness.singular_values) == len(svals)
+            assert np.max(np.abs(witness.singular_values - svals)) < 1e-12
+            assert witness.count == int(np.sum(svals < witness.threshold))
 
 
 def test_witness_window_floor():
