@@ -3,10 +3,11 @@
 ``chiralwalk index|spectrum|verify|plot <config> [flags]``
 
 Exit codes: 0 success, 1 usage/parse error or out-of-range/non-finite input,
-2 not Fredholm, 3 verification failure.  Each subcommand accepts only the
-flags it reads.  All commands are deterministic given config and flags; the
-only randomised step (the alternative phase assignment cross-check in
-``index``) is driven by ``--seed``.
+2 not Fredholm, 3 verification failure, a refused numeric winding or
+disagreeing index routes.  Each subcommand accepts only the flags it reads.
+All commands are deterministic given config and flags; the only randomised
+step (the alternative phase assignment cross-check in ``index``) is driven by
+``--seed``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_OPTIONS, load_model_config
-from .index import NotFredholmError, compute_index
+from .index import (
+    IndexDisagreementError,
+    NotFredholmError,
+    SymbolNearZeroError,
+    compute_index,
+)
 from .models import InvalidParameters, default_phase, reduce_to_um
 from .profiles import MINUS_INF, PLUS_INF, REAL, ParameterProfile
 from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum
@@ -251,6 +257,10 @@ def main(argv=None) -> int:
     except NotFredholmError as err:
         print(f"not Fredholm: {err}", file=sys.stderr)
         return 2
+    except (SymbolNearZeroError, IndexDisagreementError) as err:
+        # the numeric winding refused, or the index routes disagree
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 1

@@ -6,12 +6,13 @@ The index is computed along three independent routes and must be unanimous:
 2. winding numbers of the two endpoint symbols read off an exact geometric
    argument (the symbol traces an ellipse, possibly degenerate),
 3. winding numbers accumulated numerically from circle samples of the same
-   symbols.
+   symbols, on a grid bisected only where the symbol nears zero until each
+   interval's argument increment is certified by the symbol's slope bound.
 
 The endpoint symbols are trigonometric polynomials obtained as the
 coefficient limits of the phase-repaired off-diagonal block; route 3 consumes
-only those sampled values, so it is independent of the geometry used in
-route 2 and of the branch logic used in route 1.
+only those sampled values and the slope bound, so it is independent of the
+geometry used in route 2 and of the branch logic used in route 1.
 """
 
 from __future__ import annotations
@@ -206,36 +207,82 @@ def winding_analytic(sym: SymbolFunction, asym: AsymptoticData) -> int:
     return 0
 
 
-def winding_numeric(sym: SymbolFunction, samples: int | None = None,
-                    guard: float = 1e-8, max_samples: int = 1 << 20) -> int:
-    """Accumulated-argument winding of the symbol over the unit circle.
+def winding_numeric(sym: SymbolFunction, guard: float = 1e-8,
+                    max_samples: int = 1 << 20) -> int:
+    """Winding of the symbol over the unit circle, accumulated from samples.
 
-    Doubles the uniform sample count until two successive estimates agree and
-    the sampled minimum of |f| exceeds ten times the per-step increment bound,
-    which rules out phase aliasing.  Refuses with a diagnostic when the symbol
-    comes within ``guard`` of the origin.
+    Starts from the closed uniform grid of ``64 (|m| + 1)`` intervals (the
+    sample at t = 0 is reused for t = 2 pi).  An interval [t0, t1] is
+    certified when max(|f(t0)|, |f(t1)|) > 10 * slope_bound * (t1 - t0): f
+    then stays in a disk of radius |f| / 10 around an endpoint value, so the
+    principal argument of f(t1) / f(t0) is the true increment.  Every
+    uncertified interval is bisected in one vectorised round (its midpoint is
+    evaluated and merged into the grid) until all are certified, so samples
+    concentrate only where the symbol nears zero.  The winding is the sum of
+    the increments over 2 pi; it must be an integer to 1e-6 and equal the sum
+    on the final grid bisected once more uniformly.
+
+    Refuses with :class:`SymbolNearZeroError` when a sample has |f| <=
+    ``guard`` or when a grid would need more than ``max_samples`` samples.
     """
-    k = max(int(samples) if samples else 0, 64 * (abs(sym.m) + 1))
     slope = sym.slope_bound()
-    prev = None
-    while k <= max_samples:
-        step = 2.0 * np.pi / k
-        values = sym.evaluate(np.exp(1j * step * np.arange(k)))
-        fmin = float(np.min(np.abs(values)))
-        if fmin <= guard:
-            raise SymbolNearZeroError(
-                f"min |f| = {fmin:.3e} at {k} samples; winding unreliable"
-            )
-        total = float(np.sum(np.angle(np.roll(values, -1) / values)))
-        estimate = total / (2.0 * np.pi)
-        wn = round(estimate)
-        quantized = abs(estimate - wn) < 1e-6
-        safe = fmin > 10.0 * slope * step
-        if quantized and safe and prev == wn:
-            return int(wn)
-        prev = wn if quantized else None
-        k *= 2
-    raise SymbolNearZeroError("winding estimates failed to stabilise")
+    k = 64 * (abs(sym.m) + 1)
+    t = 2.0 * np.pi * np.arange(k + 1) / k
+    f = sym.evaluate(np.exp(1j * t[:-1]))
+    _guard_samples(f, guard, k)
+    f = np.append(f, f[0])
+    while True:
+        absf = np.abs(f)
+        open_ = np.maximum(absf[:-1], absf[1:]) <= 10.0 * slope * np.diff(t)
+        if not open_.any():
+            break
+        mid, values = _midpoint_values(sym, t, np.flatnonzero(open_), guard, max_samples)
+        t = np.concatenate((t, mid))
+        order = np.argsort(t, kind="stable")
+        t, f = t[order], np.concatenate((f, values))[order]
+    estimate = _winding_estimate(f)
+    wn = round(estimate)
+    if abs(estimate - wn) >= 1e-6:
+        raise SymbolNearZeroError(
+            f"winding estimate {estimate:.9f} is not an integer at {len(f) - 1} samples"
+        )
+    _, values = _midpoint_values(sym, t, np.arange(len(t) - 1), guard, max_samples)
+    finer = np.empty(2 * len(f) - 1, dtype=complex)
+    finer[0::2], finer[1::2] = f, values
+    check = _winding_estimate(finer)
+    if abs(check - wn) >= 1e-6:
+        raise SymbolNearZeroError(
+            f"winding estimates disagree: {estimate:.9f} at {len(f) - 1} samples, "
+            f"{check:.9f} at {len(finer) - 1}"
+        )
+    return int(wn)
+
+
+def _guard_samples(values: np.ndarray, guard: float, samples: int) -> None:
+    fmin = float(np.min(np.abs(values)))
+    if fmin <= guard:
+        raise SymbolNearZeroError(
+            f"min |f| = {fmin:.3e} at {samples} samples; winding unreliable"
+        )
+
+
+def _midpoint_values(sym: SymbolFunction, t: np.ndarray, idx: np.ndarray,
+                     guard: float, max_samples: int):
+    """Midpoints of the grid intervals ``idx`` and the symbol's values there."""
+    samples = len(t) - 1 + len(idx)
+    if samples > max_samples:
+        raise SymbolNearZeroError(
+            f"certifying the winding needs more than {max_samples} samples"
+        )
+    mid = 0.5 * (t[idx] + t[idx + 1])
+    values = sym.evaluate(np.exp(1j * mid))
+    _guard_samples(values, guard, samples)
+    return mid, values
+
+
+def _winding_estimate(f: np.ndarray) -> float:
+    """Sum of the principal argument increments of a closed sample loop, / 2 pi."""
+    return float(np.sum(np.angle(f[1:] / f[:-1]))) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +303,7 @@ class IndexReport:
     endpoints: tuple
 
 
-def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None,
-                  samples: int | None = None) -> IndexReport:
+def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None) -> IndexReport:
     """Compute the index by all three routes and require unanimity.
 
     A non-Fredholm parameter set yields a report with ``fredholm=False`` and
@@ -277,8 +323,8 @@ def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None,
     syms = symbols_from_block(params, phase)
     wn_minus = winding_analytic(syms[MINUS_INF], minus)
     wn_plus = winding_analytic(syms[PLUS_INF], plus)
-    wn_minus_num = winding_numeric(syms[MINUS_INF], samples)
-    wn_plus_num = winding_numeric(syms[PLUS_INF], samples)
+    wn_minus_num = winding_numeric(syms[MINUS_INF])
+    wn_plus_num = winding_numeric(syms[PLUS_INF])
     routes = {
         "formula": analytic,
         "winding": wn_plus - wn_minus,

@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chiralwalk import (
     AsymptoticData,
@@ -17,6 +20,8 @@ from chiralwalk import (
     winding_numeric,
     witten_index_analytic,
 )
+import chiralwalk.index
+from chiralwalk.cli import main
 from chiralwalk.index import symbols_from_block
 from chiralwalk.models import default_phase
 from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile, REAL
@@ -273,3 +278,131 @@ def test_index_is_invariant_under_phase_reassignment():
         other = compute_index(params, phase=alt)
         assert other.analytic_index == base.analytic_index
         assert (other.wn_minus_num, other.wn_plus_num) == (base.wn_minus_num, base.wn_plus_num)
+
+
+# ---------------------------------------------------------------------------
+# the numeric winding near the Fredholm boundary
+# ---------------------------------------------------------------------------
+
+def closed_p_gamma(p, gamma):
+    """|p_gamma| for real p and |q| = sqrt(1 - p^2)."""
+    ch = math.cosh(2.0 * gamma)
+    return abs(p) / math.sqrt(p * p + (1.0 - p * p) * ch * ch)
+
+
+def near_boundary_params(m, margin, p, gamma, a_sign=1.0, at_plus=True,
+                         other=(-0.2, 0.4, 0.1), phases=(0.0, 0.0, 0.0, 0.0)):
+    """um params whose endpoint margin |p_gamma| - |a| is ``margin`` at one end.
+
+    ``a`` is solved from p and gamma; ``other`` is (p, gamma, a) at the
+    opposite endpoint and ``phases`` are the phases of q and b at -inf and
+    +inf.
+    """
+    near = (p, gamma, a_sign * (closed_p_gamma(p, gamma) - margin))
+    (p0, g0, a0), (p1, g1, a1) = (other, near) if at_plus else (near, other)
+
+    def partner(u0, u1, phase0, phase1):
+        return ParameterProfile.two_phase(math.sqrt(1.0 - u0 * u0) * np.exp(1j * phase0),
+                                          math.sqrt(1.0 - u1 * u1) * np.exp(1j * phase1))
+
+    return ModelParamsUm(m=m, gamma=real_profile(g0, g1), p=real_profile(p0, p1),
+                         a=real_profile(a0, a1),
+                         q=partner(p0, p1, phases[0], phases[2]),
+                         b=partner(a0, a1, phases[1], phases[3]))
+
+
+def branch_index(m, minus, plus):
+    """Closed-form index from ``(margin, p)`` at each endpoint."""
+    (margin_minus, p_minus), (margin_plus, p_plus) = minus, plus
+    above_minus, above_plus = margin_minus > 0, margin_plus > 0
+    if above_minus and above_plus:
+        return m * (sgn(p_plus) - sgn(p_minus))
+    if above_plus:
+        return m * sgn(p_plus)
+    if above_minus:
+        return -m * sgn(p_minus)
+    return 0
+
+
+unit = st.sampled_from([-1.0, 1.0])
+
+
+# |p| in [0.2, 0.85] and |gamma| <= 0.6 keep |a| = |p_gamma| - margin inside
+# (0, 0.95] for |margin| <= 0.1, and there min |f| > 1.01 |margin| (1.02 near
+# the tie), so a margin of 1e-8 still clears the 1e-8 guard.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(m=st.sampled_from([-3, -2, -1, 1, 2, 3]), decade=st.floats(-8.0, -1.0),
+       margin_sign=unit, p=st.floats(0.2, 0.85), p_sign=unit, gamma=st.floats(-0.6, 0.6),
+       a_sign=unit, at_plus=st.booleans(),
+       other_p=st.floats(-0.95, 0.95), other_gamma=st.floats(-0.8, 0.8),
+       other_width=st.floats(0.05, 0.45), other_sign=unit, other_a_sign=unit,
+       phases=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4))
+def test_numeric_winding_is_certified_near_the_fredholm_boundary(
+        m, decade, margin_sign, p, p_sign, gamma, a_sign, at_plus,
+        other_p, other_gamma, other_width, other_sign, other_a_sign, phases):
+    margin = margin_sign * 10.0 ** decade
+    other_pg = closed_p_gamma(other_p, other_gamma)
+    other_margin = other_sign * other_width
+    if not 0.0 <= other_pg - other_margin <= 0.95:
+        other_margin = -other_margin
+    other = (other_p, other_gamma, other_a_sign * (other_pg - other_margin))
+    params = near_boundary_params(m, margin, p_sign * p, gamma, a_sign, at_plus, other, phases)
+    near, far = (margin, p_sign * p), (other_margin, other_p)
+    expected = branch_index(m, *((far, near) if at_plus else (near, far)))
+    report = compute_index(params)
+    assert report.fredholm
+    assert report.analytic_index == expected
+    assert report.wn_plus_num - report.wn_minus_num == expected
+
+
+def test_numeric_winding_near_the_boundary_evaluates_few_points(monkeypatch):
+    evaluated = []
+    evaluate = SymbolFunction.evaluate
+
+    def counting(self, z):
+        evaluated.append(np.size(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(SymbolFunction, "evaluate", counting)
+    for m in (1, 2, 3, -1, -2, -3):
+        report = compute_index(near_boundary_params(m, 1e-6, 0.5, 0.3))
+        assert report.analytic_index == m * 2
+    assert sum(evaluated) < 20_000
+
+
+def test_numeric_winding_refuses_within_the_guard():
+    params = near_boundary_params(1, 1e-9, 0.5, 0.3)
+    assert is_fredholm(*endpoints(params))[0]
+    with pytest.raises(SymbolNearZeroError, match=r"min \|f\|"):
+        compute_index(params)
+
+
+def um_config(params):
+    """JSON config of an um instance without overrides."""
+    def node(profile):
+        return {side: [value.real, value.imag]
+                for side, value in (("left", complex(profile.left_limit)),
+                                    ("right", complex(profile.right_limit)))}
+
+    names = ("gamma", "p", "a", "q", "b")
+    return {"model": "um", "m": params.m,
+            "profiles": {name: node(getattr(params, name)) for name in names}}
+
+
+def test_index_command_refusal_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "near.json"
+    document = um_config(near_boundary_params(1, 1e-9, 0.5, 0.3))
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["index", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: min |f| = ")
+
+
+def test_index_command_route_disagreement_exits_3_with_one_line(monkeypatch, capsys):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "reference_um_m1.json")
+    monkeypatch.setattr(chiralwalk.index, "winding_numeric", lambda sym: 7)
+    assert main(["index", config]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: index routes disagree")
