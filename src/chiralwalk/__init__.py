@@ -62,7 +62,6 @@ from .verify import (
     kernel_witness,
     run_verification,
     truncated_spectrum,
-    verify_chiral,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,12 @@
 ``chiralwalk index|spectrum|verify|plot <config> [flags]``
 
 Exit codes: 0 success, 1 usage/parse error or out-of-range/non-finite input,
-2 not Fredholm, 3 verification failure, a refused numeric winding or
-disagreeing index routes.  Each subcommand accepts only the flags it reads.
-All commands are deterministic given config and flags; the only randomised
-step (the alternative phase assignment cross-check in ``index``) is driven by
-``--seed``.
+2 not Fredholm, 3 verification failure, a spectrum sampling oracle beyond its
+tolerance, a refused numeric winding or disagreeing index routes.  Each
+subcommand accepts only the flags it reads.  All commands are deterministic
+given config and flags; the only randomised step (the alternative phase
+assignment cross-check in ``index``) is driven by ``--seed``.  ``plot`` draws
+the closed-form sets only; ``spectrum`` also runs the sampling oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .index import (
     SymbolNearZeroError,
     compute_index,
 )
-from .models import InvalidParameters, default_phase, reduce_to_um
-from .profiles import MINUS_INF, PLUS_INF, REAL, ParameterProfile
-from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum
+from .models import AsymptoticData, InvalidParameters, default_phase, reduce_to_um
+from .profiles import MINUS_INF, PLUS_INF, REAL, STARS, ParameterProfile
+from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum, sigma_star
 from .verify import run_verification, truncated_spectrum
 
 
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
         ("index", _cmd_index, ("--seed",)),
         ("spectrum", _cmd_spectrum, ("--resolution", "--out", "--cloud-out")),
         ("verify", _cmd_verify, ("--window", "--tol")),
-        ("plot", _cmd_plot, ("--resolution", "--out", "--overlay-window")),
+        ("plot", _cmd_plot, ("--out", "--overlay-window")),
     ):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON model config")
@@ -198,6 +199,11 @@ def _cmd_spectrum(args) -> int:
         with open(args.cloud_out, "w", encoding="utf-8") as handle:
             handle.write(cloud_csv(result, args.resolution))
         print(f"wrote {args.cloud_out}")
+    exceeded = [ep.star for ep in (result.minus, result.plus) if not ep.within_tolerance]
+    if exceeded:
+        print(f"error: sampling oracle beyond its Hausdorff tolerance at {', '.join(exceeded)}",
+              file=sys.stderr)
+        return 3
     return 0
 
 
@@ -226,17 +232,15 @@ def _cmd_plot(args) -> int:
     from .plotting import write_spectral_svg
 
     params = _load(args).build()
-    result = essential_spectrum(reduce_to_um(params), args.resolution)
+    um = reduce_to_um(params)
+    sets = {star: sigma_star(AsymptoticData.from_params(um, star)) for star in STARS}
     overlay = None
     if args.overlay_window:
         overlay = truncated_spectrum(params, args.overlay_window).eigenvalues
     out = args.out or "spectrum.svg"
-    title = (f"{MINUS_INF}: case {result.minus.case_tag}   "
-             f"{PLUS_INF}: case {result.plus.case_tag}")
-    write_spectral_svg(out, {
-        MINUS_INF: result.minus.spectral_set,
-        PLUS_INF: result.plus.spectral_set,
-    }, overlay=overlay, title=title)
+    title = (f"{MINUS_INF}: case {sets[MINUS_INF].case_tag}   "
+             f"{PLUS_INF}: case {sets[PLUS_INF].case_tag}")
+    write_spectral_svg(out, sets, overlay=overlay, title=title)
     print(f"wrote {out}")
     return 0
 

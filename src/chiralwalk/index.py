@@ -140,10 +140,10 @@ class EndpointDiagnostics:
     tie: bool
 
 
-def fredholm_margin(asym: AsymptoticData, tie_tol: float = FREDHOLM_TIE_TOL) -> EndpointDiagnostics:
+def fredholm_margin(asym: AsymptoticData) -> EndpointDiagnostics:
     pg = p_gamma(asym)
     margin = abs(pg) - abs(asym.a)
-    tie = abs(margin) < tie_tol
+    tie = abs(margin) < FREDHOLM_TIE_TOL
     return EndpointDiagnostics(
         star=asym.star,
         p_gamma=pg,
@@ -154,14 +154,14 @@ def fredholm_margin(asym: AsymptoticData, tie_tol: float = FREDHOLM_TIE_TOL) -> 
     )
 
 
-def is_fredholm(minus: AsymptoticData, plus: AsymptoticData, tie_tol: float = FREDHOLM_TIE_TOL):
+def is_fredholm(minus: AsymptoticData, plus: AsymptoticData):
     """Fredholm flag plus the per-endpoint diagnostics.
 
-    Ties within tolerance are reported as not Fredholm rather than guessing
-    a side; the dichotomy in the index formula is a strict inequality.
+    Ties within ``FREDHOLM_TIE_TOL`` are reported as not Fredholm rather than
+    guessing a side; the dichotomy in the index formula is a strict inequality.
     """
-    dm = fredholm_margin(minus, tie_tol)
-    dp = fredholm_margin(plus, tie_tol)
+    dm = fredholm_margin(minus)
+    dp = fredholm_margin(plus)
     return dm.fredholm and dp.fredholm, (dm, dp)
 
 
@@ -207,8 +207,7 @@ def winding_analytic(sym: SymbolFunction, asym: AsymptoticData) -> int:
     return 0
 
 
-def winding_numeric(sym: SymbolFunction, guard: float = 1e-8,
-                    max_samples: int = 1 << 20) -> int:
+def winding_numeric(sym: SymbolFunction) -> int:
     """Winding of the symbol over the unit circle, accumulated from samples.
 
     Starts from the closed uniform grid of ``64 (|m| + 1)`` intervals (the
@@ -222,21 +221,21 @@ def winding_numeric(sym: SymbolFunction, guard: float = 1e-8,
     the increments over 2 pi; it must be an integer to 1e-6 and equal the sum
     on the final grid bisected once more uniformly.
 
-    Refuses with :class:`SymbolNearZeroError` when a sample has |f| <=
-    ``guard`` or when a grid would need more than ``max_samples`` samples.
+    Refuses with :class:`SymbolNearZeroError` when a sample has |f| <= 1e-8
+    or when a grid would need more than 2^20 samples.
     """
     slope = sym.slope_bound()
     k = 64 * (abs(sym.m) + 1)
     t = 2.0 * np.pi * np.arange(k + 1) / k
     f = sym.evaluate(np.exp(1j * t[:-1]))
-    _guard_samples(f, guard, k)
+    _guard_samples(f, k)
     f = np.append(f, f[0])
     while True:
         absf = np.abs(f)
         open_ = np.maximum(absf[:-1], absf[1:]) <= 10.0 * slope * np.diff(t)
         if not open_.any():
             break
-        mid, values = _midpoint_values(sym, t, np.flatnonzero(open_), guard, max_samples)
+        mid, values = _midpoint_values(sym, t, np.flatnonzero(open_))
         t = np.concatenate((t, mid))
         order = np.argsort(t, kind="stable")
         t, f = t[order], np.concatenate((f, values))[order]
@@ -246,7 +245,7 @@ def winding_numeric(sym: SymbolFunction, guard: float = 1e-8,
         raise SymbolNearZeroError(
             f"winding estimate {estimate:.9f} is not an integer at {len(f) - 1} samples"
         )
-    _, values = _midpoint_values(sym, t, np.arange(len(t) - 1), guard, max_samples)
+    _, values = _midpoint_values(sym, t, np.arange(len(t) - 1))
     finer = np.empty(2 * len(f) - 1, dtype=complex)
     finer[0::2], finer[1::2] = f, values
     check = _winding_estimate(finer)
@@ -258,25 +257,22 @@ def winding_numeric(sym: SymbolFunction, guard: float = 1e-8,
     return int(wn)
 
 
-def _guard_samples(values: np.ndarray, guard: float, samples: int) -> None:
+def _guard_samples(values: np.ndarray, samples: int) -> None:
     fmin = float(np.min(np.abs(values)))
-    if fmin <= guard:
+    if fmin <= 1e-8:
         raise SymbolNearZeroError(
             f"min |f| = {fmin:.3e} at {samples} samples; winding unreliable"
         )
 
 
-def _midpoint_values(sym: SymbolFunction, t: np.ndarray, idx: np.ndarray,
-                     guard: float, max_samples: int):
+def _midpoint_values(sym: SymbolFunction, t: np.ndarray, idx: np.ndarray):
     """Midpoints of the grid intervals ``idx`` and the symbol's values there."""
     samples = len(t) - 1 + len(idx)
-    if samples > max_samples:
-        raise SymbolNearZeroError(
-            f"certifying the winding needs more than {max_samples} samples"
-        )
+    if samples > 1 << 20:
+        raise SymbolNearZeroError(f"certifying the winding needs more than {1 << 20} samples")
     mid = 0.5 * (t[idx] + t[idx + 1])
     values = sym.evaluate(np.exp(1j * mid))
-    _guard_samples(values, guard, samples)
+    _guard_samples(values, samples)
     return mid, values
 
 

@@ -30,11 +30,14 @@ def _profile(v) -> ParameterProfile:
 
 @dataclass(frozen=True)
 class BandedOperator:
-    """Banded block-Laurent operator with eventually constant coefficients."""
+    """Banded block-Laurent operator with eventually constant coefficients.
+
+    ``bandwidth`` is derived: the largest |y| among the non-zero coefficients.
+    """
 
     block_size: int
-    bandwidth: int
     coeff: dict = field(default_factory=dict)
+    bandwidth: int = field(init=False)
 
     def __post_init__(self):
         n = self.block_size
@@ -57,12 +60,12 @@ class BandedOperator:
 
     @classmethod
     def identity(cls, block_size: int = 1) -> "BandedOperator":
-        return cls(block_size, 0, {(i, i, 0): 1.0 for i in range(block_size)})
+        return cls(block_size, {(i, i, 0): 1.0 for i in range(block_size)})
 
     @classmethod
     def shift(cls, power: int, block_size: int = 1) -> "BandedOperator":
         """shift^power on each component: (psi_i)(x) -> psi_i(x + power)."""
-        return cls(block_size, abs(power), {(i, i, power): 1.0 for i in range(block_size)})
+        return cls(block_size, {(i, i, power): 1.0 for i in range(block_size)})
 
     @classmethod
     def multiplication(cls, entries) -> "BandedOperator":
@@ -76,7 +79,7 @@ class BandedOperator:
                 if v is None:
                     continue
                 coeff[(i, j, 0)] = _profile(v)
-        return cls(n, 0, coeff)
+        return cls(n, coeff)
 
     # -- access -------------------------------------------------------------
 
@@ -91,7 +94,7 @@ class BandedOperator:
         coeff = {
             (0, 0, y): prof for (bi, bj, y), prof in self.coeff.items() if bi == i and bj == j
         }
-        return BandedOperator(1, 0, coeff)
+        return BandedOperator(1, coeff)
 
     # -- algebra ------------------------------------------------------------
 
@@ -110,7 +113,7 @@ class BandedOperator:
                 key = (i, j, y1 + y2)
                 prev = acc.get(key)
                 acc[key] = term if prev is None else prev + term
-        return BandedOperator(self.block_size, 0, acc)
+        return BandedOperator(self.block_size, acc)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -119,12 +122,10 @@ class BandedOperator:
         coeff = {
             (j, i, -y): prof.conj().shifted(-y) for (i, j, y), prof in self.coeff.items()
         }
-        return BandedOperator(self.block_size, 0, coeff)
+        return BandedOperator(self.block_size, coeff)
 
     def scaled(self, c) -> "BandedOperator":
-        return BandedOperator(
-            self.block_size, 0, {k: prof * c for k, prof in self.coeff.items()}
-        )
+        return BandedOperator(self.block_size, {k: prof * c for k, prof in self.coeff.items()})
 
     def __add__(self, other: "BandedOperator") -> "BandedOperator":
         if self.block_size != other.block_size:
@@ -133,7 +134,7 @@ class BandedOperator:
         for key, prof in other.coeff.items():
             prev = acc.get(key)
             acc[key] = prof if prev is None else prev + prof
-        return BandedOperator(self.block_size, 0, acc)
+        return BandedOperator(self.block_size, acc)
 
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
         return self + other.scaled(-1.0)

@@ -102,8 +102,8 @@ class ModelParamsUm:
         _check_normalized(self.p, self.q, "p^2 + |q|^2 = 1")
         _check_normalized(self.a, self.b, "a^2 + |b|^2 = 1")
 
-    def is_unitary_instance(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return self.gamma.max_abs() <= tol
+    def is_unitary_instance(self) -> bool:
+        return self.gamma.max_abs() <= NORMALIZATION_TOL
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ class ModelParamsMko:
             object.__setattr__(self, name, _require_real(getattr(self, name), name))
         _check_gain(self.gamma)
 
-    def is_unitary_instance(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return self.gamma.max_abs() <= tol
+    def is_unitary_instance(self) -> bool:
+        return self.gamma.max_abs() <= NORMALIZATION_TOL
 
 
 def _principal_angle(w: complex) -> float:
@@ -171,13 +171,13 @@ def default_phase(q: ParameterProfile) -> ParameterProfile:
     return q.apply(lambda v: complex(_principal_angle(v)), REAL)
 
 
-def check_phase(q: ParameterProfile, theta: ParameterProfile, tol: float = 1e-10):
-    """Require q(x) = |q(x)| e^{i theta(x)} on every determining site."""
+def check_phase(q: ParameterProfile, theta: ParameterProfile):
+    """Require q(x) = |q(x)| e^{i theta(x)} to 1e-10 on every determining site."""
     worst = 0.0
     for x in _probe_sites(q, theta):
         qv = q.value(x)
         worst = max(worst, abs(qv - abs(qv) * cmath.exp(1j * theta.value(x).real)))
-    if worst > tol:
+    if worst > 1e-10:
         raise InvalidParameters(f"phase assignment inconsistent with q by {worst:.3e}")
 
 
@@ -195,7 +195,7 @@ def _resolve_phase(params: ModelParamsUm, phase: ParameterProfile | None) -> Par
 
 def grading_from_profiles(m: int, p: ParameterProfile, q: ParameterProfile) -> BandedOperator:
     """Unvalidated grading; use :func:`grading` for checked parameters."""
-    return BandedOperator(2, abs(m), {
+    return BandedOperator(2, {
         (0, 0, 0): p,
         (0, 1, m): q,
         (1, 0, -m): q.conj().shifted(-m),
@@ -247,7 +247,7 @@ def _mko_factors(params: ModelParamsMko):
         s = theta.real_map(math.sin) * 1j
         return BandedOperator.multiplication([[c, s], [s, c]])
 
-    split_shift = BandedOperator(2, 1, {(0, 0, 1): 1.0, (1, 1, -1): 1.0})
+    split_shift = BandedOperator(2, {(0, 0, 1): 1.0, (1, 1, -1): 1.0})
     gain = BandedOperator.multiplication([[exp_p, None], [None, exp_m1]])
     gain_inv = BandedOperator.multiplication([[exp_m, None], [None, exp_p1]])
     phase = BandedOperator.multiplication(
@@ -283,7 +283,7 @@ def mko_to_um(params: ModelParamsMko):
     coin_flip = BandedOperator.multiplication(
         [[sin1, cos1 * (-1j)], [cos1 * 1j, -sin1]]
     )
-    shift_flip = BandedOperator(2, 1, {(0, 1, 1): -1j, (1, 0, -1): 1j})
+    shift_flip = BandedOperator(2, {(0, 1, 1): -1j, (1, 0, -1): 1j})
     eta = coin_flip @ shift_flip
     return um, eta
 
@@ -316,7 +316,7 @@ def grading_eigenbasis(params: ModelParamsUm, phase: ParameterProfile | None = N
     theta = _resolve_phase(params, phase)
     m = params.m
     p_plus, p_minus = _half_weights(params.p)
-    twist = BandedOperator(2, abs(m), {
+    twist = BandedOperator(2, {
         (0, 0, 0): 1.0,
         (1, 1, -m): theta.cis(-1).shifted(-m),
     })
@@ -340,7 +340,7 @@ def offdiag_block(params: ModelParamsUm, phase: ParameterProfile | None = None) 
     up = p_plus * theta.cis(+1) * beta.shifted(m) * p_plus.shifted(m)
     down = -(p_minus * beta.conj() * (theta.cis(-1) * p_minus).shifted(-m))
     diag = -(params.q.abs() * (alpha1 - alpha2.shifted(m)))
-    minus_2i_block = BandedOperator(1, abs(m), {
+    minus_2i_block = BandedOperator(1, {
         (0, 0, m): up,
         (0, 0, -m): down,
         (0, 0, 0): diag,

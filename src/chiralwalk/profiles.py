@@ -209,5 +209,5 @@ class ParameterProfile:
         vals = [self.left_limit, self.right_limit, *self.overrides.values()]
         return max(abs(v) for v in vals)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0.0

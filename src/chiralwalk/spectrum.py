@@ -36,12 +36,19 @@ _CLAMP = 1e-12
 
 
 def g_map(x: float) -> float:
-    """x + sqrt(x^2 - 1) on |x| >= 1; satisfies g(x) * g(-x) = -1."""
+    """x + sqrt(x^2 - 1) on |x| >= 1; satisfies g(x) * g(-x) = -1.
+
+    Once x^2 - 1 rounds to x^2 (x beyond about 1e8) the value is 2x: the
+    same float there, and still finite where x^2 overflows (x up to half the
+    largest float, e.g. every lambda_+ with |gamma| <= GAMMA_LIMIT).
+    """
     ax = abs(x)
     if ax < 1.0 - _CLAMP:
         raise ValueError(f"g_map requires |x| >= 1, got {x}")
     if ax < 1.0:
         x = math.copysign(1.0, x)
+    if x > 0.0 and x * x - 1.0 == x * x:
+        return 2.0 * x
     return x + math.sqrt(x * x - 1.0)
 
 
@@ -305,12 +312,13 @@ class EssentialSpectrumResult:
             self.plus.spectral_set.distance(points),
         )
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.union_distance(np.atleast_1d(z)) <= tol))
+    def contains(self, z) -> bool:
+        """Every point of ``z`` lies within 1e-9 of the essential spectrum."""
+        return bool(np.all(self.union_distance(np.atleast_1d(z)) <= 1e-9))
 
-    def essentially_gapped(self, tol: float = 1e-9) -> bool:
+    def essentially_gapped(self) -> bool:
         """Neither -1 nor +1 lies in the essential spectrum."""
-        return not (self.contains(1.0, tol) or self.contains(-1.0, tol))
+        return not (self.contains(1.0) or self.contains(-1.0))
 
 
 def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> EssentialSpectrumResult:

@@ -17,7 +17,7 @@ computation lives in :mod:`chiralwalk.index`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals_banded
@@ -37,7 +37,6 @@ from .models import (
     reduce_to_um,
     walk,
 )
-from .profiles import ParameterProfile
 
 DENSE_BUDGET = 2000
 RESIDUAL_TOL = 1e-10
@@ -88,19 +87,6 @@ def involution_residual_operators(grading_op: BandedOperator, window: int) -> fl
     return _interior_max(diff, window, n, 2 * grading_op.bandwidth)
 
 
-def verify_chiral(params, window: int, tol: float = RESIDUAL_TOL) -> float:
-    """Chiral-relation residual; raises when it exceeds ``tol``."""
-    grading_op, walk_op = build_pair(params)
-    if isinstance(params, ModelParamsUm) and window < 4 * abs(params.m):
-        raise ValueError(f"window {window} below 4|m| = {4 * abs(params.m)}")
-    residual = chiral_residual_operators(grading_op, walk_op, window)
-    if residual >= tol:
-        raise VerificationError(
-            "chiral symmetry", f"residual {residual:.3e} >= tolerance {tol:.1e}"
-        )
-    return residual
-
-
 def equivalence_residual(params: ModelParamsMko, window: int) -> float:
     """Interior residual of conjugator* @ mko walk @ conjugator - reduced walk."""
     um, eta = mko_to_um(params)
@@ -131,21 +117,18 @@ class TruncatedSpectrum:
     window: int
     eigenvalues: np.ndarray
     boundary_affected: np.ndarray      # bool per eigenvalue
-    edge_distance: np.ndarray          # sites between localisation peak and edge
 
     def interior_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[~self.boundary_affected]
 
 
-def _localisation_tags(section, vectors: np.ndarray, edge_width: int):
+def _localisation_tags(section, vectors: np.ndarray, edge_width: int) -> np.ndarray:
     """Boundary tags per eigenvector: >= half the mass within edge_width of the edge."""
-    sites = section.block_sites()
-    near_edge = np.abs(sites) > section.window - edge_width
+    near_edge = np.abs(section.block_sites()) > section.window - edge_width
     mass = np.abs(vectors) ** 2
     total = mass.sum(axis=0)
     edge_fraction = mass[near_edge].sum(axis=0) / np.where(total == 0, 1.0, total)
-    peak_sites = np.abs(sites[np.argmax(mass, axis=0)])
-    return edge_fraction >= 0.5, section.window - peak_sites
+    return edge_fraction >= 0.5
 
 
 def _check_dense_budget(window: int):
@@ -154,15 +137,11 @@ def _check_dense_budget(window: int):
 
 
 def _section_eigensolve(op: BandedOperator, window: int, hermitian: bool = False):
-    """Eigenvalues of the dense section of ``op`` with their edge-localisation tags.
-
-    Returns ``(values, boundary_affected, edge_distance)``.
-    """
+    """Eigenvalues of the dense section of ``op`` and their edge-localisation tags."""
     _check_dense_budget(window)
     section = op.finite_section(window)
     values, vectors = (np.linalg.eigh if hermitian else np.linalg.eig)(section.matrix)
-    boundary, distance = _localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
-    return values, boundary, distance
+    return values, _localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
 
 
 def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
@@ -174,13 +153,12 @@ def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
 @dataclass
 class KernelWitness:
     window: int
-    threshold: float
     singular_values: np.ndarray        # ascending
-    small: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
-        return len(self.small)
+        """Number of singular values below ``KERNEL_THRESHOLD``."""
+        return int(np.sum(self.singular_values < KERNEL_THRESHOLD))
 
     @property
     def smallest(self) -> float:
@@ -210,24 +188,20 @@ def _singular_values_banded(a, bandwidth: int) -> np.ndarray:
     return np.sort(np.abs(eigenvalues[size:]))
 
 
-def kernel_witness(params: ModelParamsUm, window: int,
-                   threshold: float = KERNEL_THRESHOLD,
-                   phase: ParameterProfile | None = None) -> KernelWitness:
+def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     """Near-kernel evidence from the off-diagonal block's finite section.
 
-    Counts singular values below ``threshold`` of the interior-restricted
+    Counts singular values below ``KERNEL_THRESHOLD`` of the interior-restricted
     square section.  For a Fredholm instance of index nu the count is at
     least |nu| once the window dominates the localisation length; it is a
     witness, not a signed index.
     """
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
-    block = offdiag_block(params, phase)
+    block = offdiag_block(params)
     k = block.bandwidth
     inner = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
-    svals = _singular_values_banded(inner, k)
-    small = [(float(s), rank) for rank, s in enumerate(svals) if s < threshold]
-    return KernelWitness(window, threshold, svals, small)
+    return KernelWitness(window, _singular_values_banded(inner, k))
 
 
 @dataclass
@@ -242,12 +216,11 @@ class BoundStateCheck:
         return self.near_plus + self.near_minus
 
 
-def bound_state_check(params: ModelParamsUm, window: int,
-                      eig_tol: float = EIGENVALUE_TOL) -> BoundStateCheck:
+def bound_state_check(params: ModelParamsUm, window: int) -> BoundStateCheck:
     """Protected-state count for unitary instances.
 
     Counts interior (non edge-localised) eigenvalues of the truncated walk
-    within ``eig_tol`` of +1 or -1 and checks the count against |index|.
+    within ``EIGENVALUE_TOL`` of +1 or -1 and checks the count against |index|.
     Only defined for unitary instances (vanishing gain); the non-unitary
     analogue is an open problem and deliberately not asserted.
     """
@@ -258,8 +231,8 @@ def bound_state_check(params: ModelParamsUm, window: int,
         raise VerificationError("bound states", "instance is not Fredholm")
     nu = abs(report.analytic_index)
     interior = truncated_spectrum(params, window).interior_eigenvalues()
-    near_plus = int(np.sum(np.abs(interior - 1.0) < eig_tol))
-    near_minus = int(np.sum(np.abs(interior + 1.0) < eig_tol))
+    near_plus = int(np.sum(np.abs(interior - 1.0) < EIGENVALUE_TOL))
+    near_minus = int(np.sum(np.abs(interior + 1.0) < EIGENVALUE_TOL))
     result = BoundStateCheck(window, nu, near_plus, near_minus)
     if result.count < nu:
         raise VerificationError(
@@ -269,8 +242,7 @@ def bound_state_check(params: ModelParamsUm, window: int,
     return result
 
 
-def unitary_mapping_check(params: ModelParamsUm, window: int,
-                          resolution: int = 2048) -> float:
+def unitary_mapping_check(params: ModelParamsUm, window: int) -> float:
     """Consistency of the imaginary-part spectra for unitary instances.
 
     The essential spectrum of the imaginary part is the image of the walk's
@@ -284,11 +256,11 @@ def unitary_mapping_check(params: ModelParamsUm, window: int,
 
     if not params.is_unitary_instance():
         raise InvalidParameters("mapping check applies to unitary instances only")
-    result = essential_spectrum(params, resolution)
+    result = essential_spectrum(params)
     mapped = np.concatenate([result.minus.cloud.imag, result.plus.cloud.imag])
     _, walk_op = build_pair(params)
     q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)
-    values, boundary, _ = _section_eigensolve(q_op, window, hermitian=True)
+    values, boundary = _section_eigensolve(q_op, window, hermitian=True)
     interior_values = values[~boundary]
     if len(interior_values) == 0:
         return 0.0
@@ -318,8 +290,7 @@ class VerificationReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def run_verification(params, window: int, tol: float = RESIDUAL_TOL,
-                     kernel_threshold: float = KERNEL_THRESHOLD) -> VerificationReport:
+def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> VerificationReport:
     """Full residual/witness suite for one parameter set."""
     report = VerificationReport(window=window, tolerance=tol, checks=[])
 
@@ -358,13 +329,13 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL,
         # which grows with |m|; enlarge within the dense budget if short.
         witness_window = max(window, 8 * abs(um.m), 300)
         while True:
-            report.witness = kernel_witness(um, witness_window, kernel_threshold)
+            report.witness = kernel_witness(um, witness_window)
             if report.witness.count >= nu or witness_window >= 600:
                 break
             witness_window = min(2 * witness_window, 600)
         record("kernel witness", report.witness.count >= nu,
                f"{report.witness.count} singular values below "
-               f"{kernel_threshold:.1e} at window {witness_window}, "
+               f"{KERNEL_THRESHOLD:.1e} at window {witness_window}, "
                f"index demands {nu}")
     else:
         record("kernel witness", True, "skipped: not Fredholm")

@@ -155,7 +155,7 @@ def test_criterion_6_gapless_yet_fredholm():
     start = time.perf_counter()
     params = reference_params(m=1)
     result = essential_spectrum(params, 512)
-    contains_one = result.contains(1.0, tol=1e-9)
+    contains_one = result.contains(1.0)
     rep = compute_index(params)
     fredholm_nonzero = rep.fredholm and rep.analytic_index != 0
     elapsed = time.perf_counter() - start
@@ -178,7 +178,7 @@ def test_criterion_7_unitary_cross_checks():
         q=ParameterProfile.constant(math.sqrt(1 - 0.35 ** 2) * np.exp(0.7j)),
         b=ParameterProfile.constant(0.8j),
     )
-    mapping_dist = unitary_mapping_check(constant, 100, resolution=2048)
+    mapping_dist = unitary_mapping_check(constant, 100)
     bs = bound_state_check(unitary_ref, 300)
     elapsed = time.perf_counter() - start
     ok = circle_dist < 1e-12 and mapping_dist < 0.02 and bs.count >= bs.abs_index

@@ -149,6 +149,7 @@ def test_usage_errors_exit_1(capsys):
     ["index", UM1, "--resolution", "512"],
     ["verify", UM1, "--out", "x"],
     ["spectrum", UM1, "--seed", "3"],
+    ["plot", UM1, "--resolution", "512"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     assert main(argv) == 1
@@ -232,6 +233,21 @@ def test_spectrum_csv_serialiser_round_trips_exactly():
     assert parsed["+inf"] == result.plus.spectral_set
 
 
+@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
+def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, gamma):
+    doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": gamma, "right": gamma}
+    path = write_config(tmp_path, doc)
+    out_csv = tmp_path / "sets.csv"
+    assert main(["spectrum", path, "--out", str(out_csv)]) == 3
+    captured = capsys.readouterr()
+    assert "EXCEEDED" in captured.out and "case III" in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert parse_spectrum_csv(out_csv.read_text(encoding="utf-8"))["+inf"].case_tag == "III"
+    assert main(["plot", path, "--out", str(tmp_path / "figure.svg")]) == 0
+    assert xml.dom.minidom.parse(str(tmp_path / "figure.svg")).documentElement.tagName == "svg"
+
+
 # ---------------------------------------------------------------------------
 # the verify command
 # ---------------------------------------------------------------------------
@@ -271,8 +287,7 @@ def test_spectrum_command_without_gain_reports_arcs_only(tmp_path, capsys):
 
 def test_plot_command_emits_valid_svg(tmp_path, capsys):
     out = tmp_path / "figure.svg"
-    code = main(["plot", UM1, "--resolution", "512",
-                 "--out", str(out), "--overlay-window", "40"])
+    code = main(["plot", UM1, "--out", str(out), "--overlay-window", "40"])
     assert code == 0
     capsys.readouterr()
     document = xml.dom.minidom.parse(str(out))
@@ -289,7 +304,7 @@ def test_plot_command_emits_valid_svg(tmp_path, capsys):
 def test_plot_command_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"
-    main(["plot", UM1, "--resolution", "512", "--out", str(first)])
-    main(["plot", UM1, "--resolution", "512", "--out", str(second)])
+    main(["plot", UM1, "--out", str(first)])
+    main(["plot", UM1, "--out", str(second)])
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()

@@ -21,7 +21,7 @@ def random_operator(rng, block_size=2, bandwidth=1, sites=3):
     coeff = {(i, j, y): prof()
              for i in range(block_size) for j in range(block_size)
              for y in range(-bandwidth, bandwidth + 1)}
-    return BandedOperator(block_size, bandwidth, coeff)
+    return BandedOperator(block_size, coeff)
 
 
 def test_shift_zero_is_identity():
@@ -181,8 +181,17 @@ def test_sparse_and_dense_sections_match_the_site_loop_bit_for_bit(name):
         assert sparse.toarray().tobytes() == reference.tobytes()
 
 
+def test_bandwidth_is_derived_from_the_nonzero_coefficients():
+    op = BandedOperator(2, {(0, 1, 3): 1.0, (1, 0, -2): 0.5, (1, 1, 5): 0.0})
+    assert op.bandwidth == 3
+    assert (op @ BandedOperator.shift(-2, 2)).bandwidth == 4
+    assert BandedOperator(1, {(0, 0, 4): 0.0}).bandwidth == 0
+    with pytest.raises(TypeError):
+        BandedOperator(2, 1, {})
+
+
 def test_sparse_section_of_the_zero_operator_is_empty():
-    zero = BandedOperator(2, 0, {})
+    zero = BandedOperator(2, {})
     assert zero.sparse_section(3).nnz == 0
     assert not finite_section(zero, 3).matrix.any()
     with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from chiralwalk.profiles import ParameterProfile
 from conftest import random_mko_params, random_um_params, real_profile
 
 DIAG_PM1 = BandedOperator.multiplication([[1.0, None], [None, -1.0]])
-ZERO2 = BandedOperator(2, 0, {})
+ZERO2 = BandedOperator(2, {})
 
 
 def interior_unitarity_residual(op, window):
@@ -137,7 +137,7 @@ def expanded_walk(params):
     alpha1, beta, alpha2 = coin_profiles(params.gamma, params.a, params.b)
     qc = q.conj().shifted(-m)
     pm = params.p.shifted(-m)
-    return BandedOperator(2, abs(m), {
+    return BandedOperator(2, {
         (0, 0, 0): p * alpha1,
         (0, 0, m): q * beta.shifted(m),
         (0, 1, 0): p * beta.conj(),
@@ -228,8 +228,8 @@ def test_offdiag_block_reproduces_the_conjugated_imaginary_part():
         eps = grading_eigenbasis(params)
         conjugated = eps.adjoint() @ q_part @ eps
         block = offdiag_block(params)
-        assert conjugated.sub_block(0, 0).allclose(BandedOperator(1, 0, {}))
-        assert conjugated.sub_block(1, 1).allclose(BandedOperator(1, 0, {}))
+        assert conjugated.sub_block(0, 0).allclose(BandedOperator(1, {}))
+        assert conjugated.sub_block(1, 1).allclose(BandedOperator(1, {}))
         assert conjugated.sub_block(1, 0).allclose(block)
         assert conjugated.sub_block(0, 1).allclose(block.adjoint())
 
@@ -332,7 +332,7 @@ def test_rephased_block_limits_match_the_closed_forms():
 def test_trivial_two_step_model_is_a_double_shift():
     zero = real_profile(0, 0)
     params = ModelParamsMko(gamma=zero, phi=zero, theta1=zero, theta2=zero)
-    expected = BandedOperator(2, 2, {(0, 0, 2): 1.0, (1, 1, -2): 1.0})
+    expected = BandedOperator(2, {(0, 0, 2): 1.0, (1, 1, -2): 1.0})
     assert mko_walk(params).allclose(expected)
 
 

@@ -183,6 +183,19 @@ def test_plain_coin_walk_set_is_a_symmetric_arc_pair():
     assert not sset.contains(1.0, tol=1e-6) and not sset.contains(-1.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
+def test_large_gain_sets_are_finite_case_three(gamma):
+    # lambda_+ ~ 0.02 cosh(2 gamma) reaches 3e305: g_map's x^2 overflows from gamma ~ 180
+    params = reference_params(gamma=gamma)
+    for star in (MINUS_INF, PLUS_INF):
+        sset = sigma_star(AsymptoticData.from_params(params, star))
+        assert sset.case_tag == "III" and sset.sign_tag == 1 and not sset.arcs
+        inner, outer = sset.segments
+        assert 0.0 < inner[0] and math.isfinite(outer[1])
+        assert math.isclose(inner[0] * outer[1], 1.0, rel_tol=1e-15)
+        assert math.isclose(inner[1] * outer[0], 1.0, rel_tol=1e-15)
+
+
 def test_spectral_set_shape_validation():
     with pytest.raises(ValueError):
         SpectralSet(((-1.5, 0.0),), (), "I", 1)
@@ -291,7 +304,7 @@ def test_reference_essential_spectrum_oracle_agreement():
         assert ep.case_tag == "II"
         assert ep.cloud_to_set < 1e-9
         assert ep.hausdorff <= ep.tolerance
-    assert result.contains(1.0, tol=1e-9)
+    assert result.contains(1.0)
     assert not result.essentially_gapped()
 
 

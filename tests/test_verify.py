@@ -13,7 +13,6 @@ from chiralwalk import (
     kernel_witness,
     run_verification,
     truncated_spectrum,
-    verify_chiral,
 )
 from chiralwalk.models import (
     coin_from_profiles,
@@ -26,6 +25,7 @@ from chiralwalk.models import (
 from chiralwalk.profiles import ParameterProfile
 from chiralwalk.verify import (
     DENSE_BUDGET,
+    KERNEL_THRESHOLD,
     build_pair,
     chiral_residual_operators,
     equivalence_residual,
@@ -51,9 +51,9 @@ from conftest import (
 def test_residual_suite_on_random_draws():
     rng = np.random.default_rng(50)
     for _ in range(25):
-        assert verify_chiral(random_um_params(rng), 100) < 1e-10
+        assert chiral_residual_operators(*build_pair(random_um_params(rng)), 100) < 1e-10
     for _ in range(25):
-        assert verify_chiral(random_mko_params(rng), 100) < 1e-10
+        assert chiral_residual_operators(*build_pair(random_mko_params(rng)), 100) < 1e-10
 
 
 def test_equivalence_residual_on_random_draws():
@@ -132,15 +132,16 @@ def test_coin_normalization_violation_is_caught_by_the_named_check():
                       q=ParameterProfile.constant(0.8), b=b_bad)
 
 
-def test_verify_chiral_raises_above_tolerance():
+def test_chiral_check_fails_above_tolerance():
     rng = np.random.default_rng(52)
-    with pytest.raises(VerificationError, match="chiral"):
-        verify_chiral(random_um_params(rng), 100, tol=1e-20)
+    report = run_verification(random_um_params(rng), 100, tol=1e-20)
+    assert ("chiral symmetry", False) in [(name, ok) for name, ok, _ in report.checks]
 
 
-def test_verify_chiral_window_floor():
+def test_chiral_residual_window_floor():
+    # m = 3: grading bandwidth 3, walk bandwidth 3, so the interior margin is 9
     with pytest.raises(ValueError):
-        verify_chiral(reference_params(m=3), 8)
+        chiral_residual_operators(*build_pair(reference_params(m=3)), 8)
 
 
 def test_normalization_residuals_are_tiny_for_valid_parameters():
@@ -215,7 +216,7 @@ def test_witness_diagonal_closed_form():
     params = ModelParamsUm(m=1, gamma=real_profile(0, 0), p=p,
                            a=real_profile(1.0, 1.0), q=q,
                            b=ParameterProfile.constant(0.0))
-    witness = kernel_witness(params, 12, threshold=1e-12)
+    witness = kernel_witness(params, 12)
     # the coupling-free block is diagonal, so its stored bandwidth collapses
     # to zero and the interior restriction shaves nothing
     expected = np.sort([abs(q.value(x)) for x in range(-12, 13)])
@@ -235,7 +236,7 @@ def test_witness_matches_dense_svd():
                                           compute_uv=False))
             assert len(witness.singular_values) == len(svals)
             assert np.max(np.abs(witness.singular_values - svals)) < 1e-12
-            assert witness.count == int(np.sum(svals < witness.threshold))
+            assert witness.count == int(np.sum(svals < KERNEL_THRESHOLD))
 
 
 def test_witness_window_floor():
@@ -289,7 +290,7 @@ def test_bound_state_check_requires_fredholmness():
 
 
 def test_unitary_mapping_consistency():
-    assert unitary_mapping_check(constant_unitary_params(), 100, resolution=2048) < 0.02
+    assert unitary_mapping_check(constant_unitary_params(), 100) < 0.02
     with pytest.raises(InvalidParameters):
         unitary_mapping_check(reference_params(), 100)
 
