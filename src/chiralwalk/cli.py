@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage/parse error or out-of-range/non-finite input,
 2 not Fredholm, 3 verification failure, a spectrum sampling oracle beyond its
 tolerance, a refused numeric winding or disagreeing index routes.  Each
 subcommand accepts only the flags it reads.  All commands are deterministic
-given config and flags; the only randomised step (the alternative phase
-assignment cross-check in ``index``) is driven by ``--seed``.  ``plot`` draws
+given config and flags: the alternative phase assignment cross-check in
+``index`` is driven by ``--seed``, and the kernel witness in ``verify``
+starts its block iteration from a fixed seed.  ``plot`` draws
 the closed-form sets only; ``spectrum`` also runs the sampling oracle.
 """
 

@@ -252,10 +252,24 @@ def symbol_matrix(asym: AsymptoticData, z, m: int) -> np.ndarray:
 
 
 def symbol_eigenvalues(asym: AsymptoticData, z, m: int) -> np.ndarray:
-    """Eigenvalue pairs of the endpoint symbol, deterministically ordered."""
+    """Eigenvalue pairs of the endpoint symbol, deterministically ordered.
+
+    The symbol has determinant 1 (grading and coin each have determinant
+    -1), so its eigenvalues are the roots h +- sqrt(h^2 - 1) of
+    x^2 - 2 h x + 1 with h = trace / 2, and they are reciprocal.  Outside the
+    unit disk the root of larger modulus is h + h sqrt(1 - 1/h^2) (principal
+    root), which neither overflows nor cancels, and the other is its
+    reciprocal; a general 2x2 eigensolve loses the small root once the gain
+    makes the entries large (gamma around 50).
+    """
     mats = symbol_matrix(asym, z, m)
-    eigs = np.linalg.eigvals(mats)
-    return np.sort_complex(eigs)
+    h = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
+    big = np.empty_like(h)
+    outer = np.abs(h) >= 1.0
+    inv = 1.0 / h[outer]
+    big[outer] = h[outer] * (1.0 + np.sqrt(1.0 - inv * inv))
+    big[~outer] = h[~outer] + np.sqrt(h[~outer] ** 2 - 1.0)
+    return np.sort_complex(np.stack([big, 1.0 / big], axis=-1))
 
 
 def _sample_cloud(asym: AsymptoticData, m: int, resolution: int) -> np.ndarray:

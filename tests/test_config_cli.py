@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from chiralwalk import spectrum as spectrum_module
+from chiralwalk import verify as verify_module
 from chiralwalk.cli import main, parse_spectrum_csv, spectrum_csv
 from chiralwalk.config import ConfigError, load_model_config
 from chiralwalk.spectrum import essential_spectrum
@@ -233,19 +235,38 @@ def test_spectrum_csv_serialiser_round_trips_exactly():
     assert parsed["+inf"] == result.plus.spectral_set
 
 
-@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
-def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, gamma):
+def large_gain_config(tmp_path, gamma):
     doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
     doc["profiles"]["gamma"] = {"left": gamma, "right": gamma}
-    path = write_config(tmp_path, doc)
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
+def test_large_gain_spectrum_oracle_agrees_with_the_closed_form(tmp_path, capsys, gamma):
+    path = large_gain_config(tmp_path, gamma)
+    out_csv = tmp_path / "sets.csv"
+    assert main(["spectrum", path, "--out", str(out_csv)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(") ok\n") == 2 and "EXCEEDED" not in captured.out
+    assert "case III" in captured.out and captured.err == ""
+    assert parse_spectrum_csv(out_csv.read_text(encoding="utf-8"))["+inf"].case_tag == "III"
+    assert main(["plot", path, "--out", str(tmp_path / "figure.svg")]) == 0
+    assert xml.dom.minidom.parse(str(tmp_path / "figure.svg")).documentElement.tagName == "svg"
+
+
+@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
+def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, monkeypatch, gamma):
+    # halving every sampled eigenvalue moves the cloud off the closed-form sets
+    exact = spectrum_module.symbol_eigenvalues
+    monkeypatch.setattr(spectrum_module, "symbol_eigenvalues",
+                        lambda asym, z, m: 0.5 * exact(asym, z, m))
+    path = large_gain_config(tmp_path, gamma)
     out_csv = tmp_path / "sets.csv"
     assert main(["spectrum", path, "--out", str(out_csv)]) == 3
     captured = capsys.readouterr()
     assert "EXCEEDED" in captured.out and "case III" in captured.out
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert parse_spectrum_csv(out_csv.read_text(encoding="utf-8"))["+inf"].case_tag == "III"
-    assert main(["plot", path, "--out", str(tmp_path / "figure.svg")]) == 0
-    assert xml.dom.minidom.parse(str(tmp_path / "figure.svg")).documentElement.tagName == "svg"
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +280,18 @@ def test_verify_command_passes_for_the_golden_configs(capsys):
         assert "chiral symmetry: PASS" in out
         assert "FAIL" not in out
     assert "two-step reduction: PASS" in out
+
+
+def test_verify_command_lists_a_witness_failure_as_a_fail_line(capsys, monkeypatch):
+    monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 1)
+    assert main(["verify", UM1, "--window", "60"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert ("kernel witness: FAIL (kernel witness: no convergence in 1 block iterations "
+            "at window 300)") in lines
+    checks = [line for line in lines if line.endswith(")") and ": " in line]
+    assert [line.split(":")[0] for line in checks] == [
+        "normalization p^2+|q|^2", "normalization a^2+|b|^2", "chiral symmetry",
+        "grading involution", "dense eigensolve", "kernel witness"]
 
 
 def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):

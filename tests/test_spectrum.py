@@ -294,6 +294,38 @@ def test_symbol_eigenvalue_product_is_always_one():
         assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-12
 
 
+def test_symbol_eigenvalues_match_a_general_eigensolve():
+    # np.linalg.eigvals is the reference where the entries stay moderate
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        params = random_fredholm_params(rng)
+        z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=32))
+        for star in (MINUS_INF, PLUS_INF):
+            asym = AsymptoticData.from_params(params, star)
+            ours = symbol_eigenvalues(asym, z, params.m)
+            reference = np.linalg.eigvals(symbol_matrix(asym, z, params.m))
+            # compare as unordered pairs: conjugate roots tie on the real part
+            straight = np.abs(ours - reference).max(axis=1)
+            swapped = np.abs(ours - reference[:, ::-1]).max(axis=1)
+            scale = np.maximum(1.0, np.abs(reference).max(axis=1))
+            assert np.max(np.minimum(straight, swapped) / scale) < 1e-9
+
+
+@pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
+def test_large_gain_symbol_eigenvalues_stay_reciprocal_on_the_sets(gamma):
+    # a general 2x2 eigensolve returned a small root of modulus ~0.975 at gamma = 50
+    params = reference_params(gamma=gamma)
+    z = np.exp(1j * np.linspace(0, 2 * np.pi, 64))
+    for star in (MINUS_INF, PLUS_INF):
+        asym = AsymptoticData.from_params(params, star)
+        eigs = symbol_eigenvalues(asym, z, params.m)
+        sset = sigma_star(asym)
+        assert np.all(np.isfinite(eigs))
+        assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-15
+        assert np.max(sset.distance(eigs[:, 1]) / eigs[:, 1].real) < 1e-15
+        assert np.max(sset.distance(eigs[:, 0]) / eigs[:, 0].real) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # the combined essential spectrum
 # ---------------------------------------------------------------------------
