@@ -256,19 +256,15 @@ def symbol_eigenvalues(asym: AsymptoticData, z, m: int) -> np.ndarray:
 
     The symbol has determinant 1 (grading and coin each have determinant
     -1), so its eigenvalues are the roots h +- sqrt(h^2 - 1) of
-    x^2 - 2 h x + 1 with h = trace / 2, and they are reciprocal.  Outside the
-    unit disk the root of larger modulus is h + h sqrt(1 - 1/h^2) (principal
-    root), which neither overflows nor cancels, and the other is its
-    reciprocal; a general 2x2 eigensolve loses the small root once the gain
+    x^2 - 2 h x + 1 with h = trace / 2, and they are reciprocal.  The root
+    h + sqrt(h - 1) sqrt(h + 1) = exp(arccosh h) (principal roots) has
+    modulus >= 1 and neither overflows nor cancels; the other is its
+    reciprocal.  A general 2x2 eigensolve loses the small root once the gain
     makes the entries large (gamma around 50).
     """
     mats = symbol_matrix(asym, z, m)
     h = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
-    big = np.empty_like(h)
-    outer = np.abs(h) >= 1.0
-    inv = 1.0 / h[outer]
-    big[outer] = h[outer] * (1.0 + np.sqrt(1.0 - inv * inv))
-    big[~outer] = h[~outer] + np.sqrt(h[~outer] ** 2 - 1.0)
+    big = h + np.sqrt(h - 1.0) * np.sqrt(h + 1.0)
     return np.sort_complex(np.stack([big, 1.0 / big], axis=-1))
 
 

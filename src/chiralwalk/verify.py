@@ -202,12 +202,21 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
     the span of both.  That span is closed under (x, y) -> (x, -y), so the
     Ritz values are exact +-pairs, the singular values s of left* a right;
     Ritz vectors of a general subspace can mix the +s and -s eigenvectors
-    into a value near 0 that settles only as fast as the two separate.  The
-    start block (4 * bandwidth + 4 columns) comes from a fixed seed and
-    doubles while every Ritz value is below the threshold, since it may
-    then hold only part of the near-kernel.  The iteration stops once every
-    near-kernel pair has residual <= ``WITNESS_RESIDUAL_TOL`` and every
-    other Ritz value s has s - residual > ``KERNEL_THRESHOLD``; it raises
+    into a value near 0 that settles only as fast as the two separate.
+
+    Singular values below 2 * ``WITNESS_SHIFT`` sit nearer the shift than
+    the near-kernel, so the iteration fills the block with them first; a
+    block that holds only such values may miss part of the near-kernel.
+    The start block (4 * bandwidth + 4 columns) comes from a fixed seed and
+    doubles while every Ritz value is below 2 * ``WITNESS_SHIFT``.  The
+    iteration stops once (i) every near-kernel pair has residual <=
+    ``WITNESS_RESIDUAL_TOL``, (ii) every other Ritz value s has
+    s - residual > ``KERNEL_THRESHOLD``, and (iii) some Ritz pair s with
+    residual r has s - 2 r > 2 * ``WITNESS_SHIFT``: its vector has less
+    than half its weight below 2 * ``WITNESS_SHIFT``, so the block is not
+    saturated by values that outrank the near-kernel.  Converging such a
+    pair to ``WITNESS_RESIDUAL_TOL`` instead takes hundreds of steps when the
+    values above the gap form a band-edge cluster.  It raises
     :class:`VerificationError` when the block reaches the section size or
     after ``MAX_WITNESS_ITERATIONS`` steps.  Squaring into a* a instead
     would lose every singular value below ~1e-8.
@@ -241,12 +250,16 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
         residuals = np.sqrt((np.linalg.norm(image - left * values, axis=0) ** 2
                              + np.linalg.norm(a_adj @ left - right * values, axis=0) ** 2) / 2)
         near = values < KERNEL_THRESHOLD
+        # a Ritz vector at s with residual r has weight below r / (s - 2 shift)
+        # on singular values under 2 shift, the ones nearer the shift than
+        # the near-kernel; weight under one half means the block has room
+        room = values - 2.0 * residuals > 2.0 * WITNESS_SHIFT
         block = np.empty((2 * size, len(values)), dtype=complex, order="F")
         block[0::2] = left
         block[1::2] = right
-        if near.all():
+        if np.all(values < 2.0 * WITNESS_SHIFT):
             block = np.hstack([block, rng.standard_normal(block.shape)])
-        elif (np.all(residuals[near] <= WITNESS_RESIDUAL_TOL)
+        elif (room.any() and np.all(residuals[near] <= WITNESS_RESIDUAL_TOL)
               and np.all(values[~near] - residuals[~near] > KERNEL_THRESHOLD)):
             bound = np.linalg.svd(image[:, ~near], compute_uv=False)[-1]
             return np.append(values[near][::-1], bound)

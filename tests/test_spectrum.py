@@ -290,7 +290,11 @@ def test_symbol_eigenvalue_product_is_always_one():
     for _ in range(10):
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=12))
-        eigs = symbol_eigenvalues(AsymptoticData.from_params(params, MINUS_INF), z, params.m)
+        asym = AsymptoticData.from_params(params, MINUS_INF)
+        # symbol_eigenvalues takes the small root as 1 / big, so check the
+        # determinant it relies on directly
+        assert np.max(np.abs(np.linalg.det(symbol_matrix(asym, z, params.m)) - 1.0)) < 1e-12
+        eigs = symbol_eigenvalues(asym, z, params.m)
         assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-12
 
 

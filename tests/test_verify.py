@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -215,39 +216,86 @@ def test_witness_smallest_value_bounded_for_a_gapped_instance():
     assert min(smallest) > 0.5
 
 
-def test_witness_diagonal_closed_form():
+def diagonal_params(q_overrides):
     # vanishing coupling, unit diagonal coin, no gain: the block is the
     # multiplication operator -i |q|, so singular values are the |q a| values
-    p = ParameterProfile.two_phase(0.6, 0.8, {0: 0.0}, kind="real")
-    q = ParameterProfile.two_phase(0.8, 0.6, {0: 1.0}, kind="real")
-    params = ModelParamsUm(m=1, gamma=real_profile(0, 0), p=p,
-                           a=real_profile(1.0, 1.0), q=q,
-                           b=ParameterProfile.constant(0.0))
-    witness = kernel_witness(params, 12)
+    p_overrides = {x: math.sqrt(1.0 - v * v) for x, v in q_overrides.items()}
+    p = ParameterProfile.two_phase(0.6, 0.8, p_overrides, kind="real")
+    q = ParameterProfile.two_phase(0.8, 0.6, q_overrides, kind="real")
+    return ModelParamsUm(m=1, gamma=real_profile(0, 0), p=p,
+                         a=real_profile(1.0, 1.0), q=q,
+                         b=ParameterProfile.constant(0.0))
+
+
+def test_witness_diagonal_closed_form():
+    witness = kernel_witness(diagonal_params({0: 1.0}), 12)
     # |q| is 0.8, 1 or 0.6 on the 25 sites, so there is no near-kernel and the
-    # one value bounds the smallest singular value 0.6 from above; the block
-    # converges only as far as the stop rule needs, so the bound is not exact
+    # one value is an upper bound on the smallest singular value 0.6.  The
+    # stop rule converges only the near-kernel, so the bound is pinned from
+    # below (Courant-Fischer) and from above only by the norm |q| <= 1.
     assert witness.count == 0 and len(witness.singular_values) == 1
-    assert 0.6 - 1e-12 <= witness.singular_values[0] < 0.6 + 1e-6
+    assert 0.6 - 1e-12 <= witness.singular_values[0] <= 1.0
+
+
+def test_witness_diagonal_near_kernel_closed_form():
+    # |q| = 0 at site -3 and 1e-9 at site 4: a two-dimensional near-kernel
+    # whose values the witness must return to 1e-12, then the bound on 0.6
+    witness = kernel_witness(diagonal_params({0: 1.0, -3: 0.0, 4: 1e-9}), 12)
+    values = witness.singular_values
+    assert witness.count == 2 and len(values) == 3
+    assert np.max(np.abs(values[:2] - [0.0, 1e-9])) < 1e-12
+    assert 0.6 - 1e-12 <= values[2] <= 1.0
+
+
+def assert_witness_matches_dense_svd(params, window):
+    witness = kernel_witness(params, window)
+    block = offdiag_block(params)
+    section = block.finite_section(window)
+    inner = section.rows_within(block.bandwidth)
+    svals = np.sort(np.linalg.svd(section.matrix[np.ix_(inner, inner)],
+                                  compute_uv=False))
+    count = int(np.sum(svals < KERNEL_THRESHOLD))
+    assert witness.count == count
+    assert np.max(np.abs(witness.singular_values[:count] - svals[:count]),
+                  initial=0.0) < 1e-12
+    # the last value bounds the next singular value from above
+    assert witness.singular_values[-1] >= svals[count] - 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_witness_matches_dense_svd(seed):
     params = random_fredholm_params(np.random.default_rng(seed))
-    block = offdiag_block(params)
     for window in (100, 300):
-        witness = kernel_witness(params, window)
-        section = block.finite_section(window)
-        inner = section.rows_within(block.bandwidth)
-        svals = np.sort(np.linalg.svd(section.matrix[np.ix_(inner, inner)],
-                                      compute_uv=False))
-        count = int(np.sum(svals < KERNEL_THRESHOLD))
-        assert witness.count == count
-        assert np.max(np.abs(witness.singular_values[:count] - svals[:count]),
-                      initial=0.0) < 1e-12
-        # the last value bounds the next singular value from above
-        assert witness.singular_values[-1] >= svals[count] - 1e-12
+        assert_witness_matches_dense_svd(params, window)
+
+
+@functools.cache
+def seed_53_stream():
+    rng = np.random.default_rng(53)
+    return [random_fredholm_params(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("draw", range(20))
+def test_witness_matches_dense_svd_on_the_seed_53_stream(draw):
+    # the 20 draws the banded-eigensolve witness was first compared on; they
+    # include sections (draw 9 at window 100, m = -2) where plain
+    # Rayleigh-Ritz on the raw block stalled
+    for window in (100, 300):
+        assert_witness_matches_dense_svd(seed_53_stream()[draw], window)
+
+
+def test_witness_finds_a_near_kernel_behind_values_nearer_the_shift():
+    # margin 0.011: at window 1000 the section has 2 near-kernel values and 8
+    # in (0.0149, 0.02), all ten below 2 * WITNESS_SHIFT and so nearer the
+    # shift than the near-kernel; the start block of 8 columns must double
+    # before it can hold the near-kernel
+    params = ModelParamsUm(m=1, gamma=real_profile(0.4, 0.4), p=real_profile(-0.2, 0.2),
+                           a=real_profile(-0.14, 0.14),
+                           q=ParameterProfile.constant(math.sqrt(0.96)),
+                           b=ParameterProfile.constant(math.sqrt(1 - 0.14 ** 2)))
+    assert compute_index(params).analytic_index == 2
+    assert_witness_matches_dense_svd(params, 1000)
 
 
 def test_witness_keeps_the_fields_the_benchmark_reads():
