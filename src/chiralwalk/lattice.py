@@ -6,9 +6,10 @@ An operator is stored as a finite family of coefficient profiles
 All coefficients are eventually constant (:class:`ParameterProfile`), so
 composition, adjoints and endpoint limits are computed exactly at the
 coefficient level.  Matrices enter only through finite sections, assembled
-from the same vectorised entries either as a sparse CSR array
-(:meth:`BandedOperator.sparse_section`, for banded products and eigensolves) or
-as a dense array (:meth:`BandedOperator.finite_section`, for full spectra).
+from the same vectorised entries (:meth:`BandedOperator.section_triplets`)
+either as a sparse CSR array (:meth:`BandedOperator.sparse_section`, for
+banded products and eigensolves) or as a dense array
+(:meth:`BandedOperator.finite_section`, for full spectra).
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class BandedOperator:
 
     # -- finite sections -------------------------------------------------------
 
-    def _section_triplets(self, window: int):
+    def section_triplets(self, window: int):
         """``(rows, cols, vals)`` of every entry of the section on [-N, N].
 
         Each coefficient ``(i, j, y)`` contributes one entry per site ``x``
@@ -183,7 +184,7 @@ class BandedOperator:
     def sparse_section(self, window: int) -> sparse.csr_array:
         """Compression to sites [-N, N] as a CSR array (same entries as :meth:`finite_section`)."""
         size = self.block_size * (2 * int(window) + 1)
-        rows, cols, vals = self._section_triplets(window)
+        rows, cols, vals = self.section_triplets(window)
         return sparse.csr_array((vals, (rows, cols)), shape=(size, size))
 
     def finite_section(self, window: int) -> "FiniteSection":
@@ -191,7 +192,7 @@ class BandedOperator:
         N = int(window)
         n = self.block_size
         size = n * (2 * N + 1)
-        rows, cols, vals = self._section_triplets(N)
+        rows, cols, vals = self.section_triplets(N)
         # Scatter into zeros rather than densify the CSR array: only the band
         # is written, so untouched pages of a large section are never mapped.
         mat = np.zeros((size, size), dtype=complex)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -292,6 +295,32 @@ def test_verify_command_lists_a_witness_failure_as_a_fail_line(capsys, monkeypat
     assert [line.split(":")[0] for line in checks] == [
         "normalization p^2+|q|^2", "normalization a^2+|b|^2", "chiral symmetry",
         "grading involution", "dense eigensolve", "kernel witness"]
+
+
+@pytest.mark.parametrize("gamma, residual", [(12.0, "5.840e-08"), (15.0, "2.990e-05")])
+def test_verify_command_passes_chirality_at_large_gain(tmp_path, capsys, gamma, residual):
+    # walk entries reach ~exp(2 gamma) (2.6e9 at gamma 12), so the absolute
+    # residual is pure roundoff; on the walk's entry scale it is ~2e-17
+    assert main(["verify", large_gain_config(tmp_path, gamma)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert f"chiral symmetry: PASS (residual {residual})" in lines
+    # the kernel witness does not settle at this gain (500 block steps)
+    assert [line.split(":")[0] for line in lines if "FAIL" in line] == ["kernel witness"]
+
+
+def test_cli_import_loads_no_further_scipy_subpackages():
+    # every subcommand pays for these imports, and scipy.sparse.csgraph
+    # alone would add 45 modules
+    code = ("import sys, chiralwalk.cli; "
+            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})), "
+            "'scipy.sparse.csgraph' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[-1] == "False"
+    assert set(out[:-1]) <= {"constants", "linalg", "sparse", "spatial", "special", "version"}
 
 
 def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):

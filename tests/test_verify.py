@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from chiralwalk import verify as verify_module
 from chiralwalk import (
     InvalidParameters,
+    ModelParamsMko,
     ModelParamsUm,
     VerificationError,
     bound_state_check,
@@ -19,6 +21,7 @@ from chiralwalk import (
     truncated_spectrum,
 )
 from chiralwalk.config import load_model_config
+from chiralwalk.lattice import BandedOperator
 from chiralwalk.models import (
     coin_from_profiles,
     grading_from_profiles,
@@ -43,6 +46,7 @@ from chiralwalk.verify import (
 from conftest import (
     random_fredholm_params,
     random_mko_params,
+    random_real_profile,
     random_um_params,
     real_profile,
     reference_mko_params,
@@ -146,6 +150,16 @@ def test_chiral_check_fails_above_tolerance():
     assert ("chiral symmetry", False) in [(name, ok) for name, ok, _ in report.checks]
 
 
+def test_two_step_residuals_are_compared_on_the_walk_entry_scale():
+    # at gamma = 12 the absolute chiral and equivalence residuals are ~1e-7,
+    # pure roundoff on walk entries of size ~exp(24)
+    params = reference_mko_params(gamma=12.0)
+    report = run_verification(params, 60)
+    checks = {name: ok for name, ok, _ in report.checks}
+    assert checks["chiral symmetry"] and checks["two-step reduction"]
+    assert report.equivalence_residual > 1e-10
+
+
 def test_chiral_residual_window_floor():
     # m = 3: grading bandwidth 3, walk bandwidth 3, so the interior margin is 9
     with pytest.raises(ValueError):
@@ -192,6 +206,84 @@ def test_reference_truncation_clusters_on_the_essential_spectrum():
 def test_truncation_budget():
     with pytest.raises(ValueError):
         truncated_spectrum(reference_params(), 2400)
+
+
+def assert_eigensolve_matches_the_complex_solve(op, window, values, tags):
+    """``values``/``tags`` against complex eig of the ungauged section, optimally matched."""
+    section = op.finite_section(window)
+    reference, vectors = np.linalg.eig(section.matrix)
+    rows, cols = linear_sum_assignment(np.abs(values[:, None] - reference[None, :]))
+    assert np.max(np.abs(values[rows] - reference[cols])) < 1e-10
+    reference_tags = verify_module._localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
+    assert np.array_equal(tags[rows], reference_tags[cols])
+
+
+@st.composite
+def walk_sections(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        params = random_um_params(rng, m=draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                                  gamma_range=2.0)
+    else:
+        params = ModelParamsMko(gamma=random_real_profile(rng, -2.0, 2.0),
+                                phi=random_real_profile(rng, -3.0, 3.0),
+                                theta1=random_real_profile(rng, -3.0, 3.0),
+                                theta2=random_real_profile(rng, -3.0, 3.0))
+    return params, draw(st.integers(20, 80))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(walk_sections())
+def test_walk_sections_are_solved_in_real_arithmetic(section):
+    params, window = section
+    walk_op = build_pair(params)[1]
+    rows, cols, vals = walk_op.section_triplets(window)
+    d = verify_module._phase_gauge(rows, cols, vals, walk_op.block_size * (2 * window + 1))
+    assert np.allclose(np.abs(d), 1.0, rtol=0.0, atol=1e-12)
+    gauged = vals * d[cols] / d[rows]
+    assert np.max(np.abs(gauged.imag)) <= 8 * np.finfo(float).eps * np.max(np.abs(vals))
+    assert verify_module._gauged_section(walk_op, window).matrix.dtype == np.float64
+    ts = truncated_spectrum(params, window)
+    assert_eigensolve_matches_the_complex_solve(walk_op, window, ts.eigenvalues,
+                                                ts.boundary_affected)
+
+
+def test_the_phase_gauge_stays_real_to_8_eps_at_the_dense_budget():
+    # a breadth-first sweep closes cycles through the root, so its roundoff
+    # grows with the window: 12-27 eps on these draws at window 2000
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        walk_op = build_pair(random_um_params(rng, gamma_range=2.0))[1]
+        rows, cols, vals = walk_op.section_triplets(DENSE_BUDGET)
+        d = verify_module._phase_gauge(rows, cols, vals, 2 * (2 * DENSE_BUDGET + 1))
+        gauged = vals * d[cols] / d[rows]
+        assert np.max(np.abs(gauged.imag)) <= 8 * np.finfo(float).eps * np.max(np.abs(vals))
+
+
+def test_a_section_no_gauge_makes_real_takes_the_complex_solve():
+    # a diagonal entry is gauge-invariant, so 0.3j stays imaginary
+    op = BandedOperator(2, {(0, 0, 0): 0.3j, (0, 1, 0): 0.8, (1, 0, 0): 0.5,
+                            (0, 1, 1): 0.6 * np.exp(0.4j), (1, 0, -1): -0.2, (1, 1, 0): 0.1})
+    assert verify_module._gauged_section(op, 30).matrix.dtype == np.complex128
+    values, tags = verify_module._section_eigensolve(op, 30)
+    assert_eigensolve_matches_the_complex_solve(op, 30, values, tags)
+
+
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko", "twin"])
+def test_truncated_spectrum_eigenvalues_are_complex(name):
+    params = (reference_params(gamma=0.0) if name == "twin"      # reference_um_m1 at gamma 0
+              else load_model_config(CONFIG_DIR / f"{name}.json").build())
+    assert truncated_spectrum(params, 40).eigenvalues.dtype == np.complex128
+
+
+def test_an_all_real_spectrum_still_comes_back_complex():
+    # a real symmetric tridiagonal section: LAPACK's real solver returns floats
+    op = BandedOperator.shift(1) + BandedOperator.shift(-1)
+    assert verify_module._gauged_section(op, 20).matrix.dtype == np.float64
+    values, _ = verify_module._section_eigensolve(op, 20)
+    assert values.dtype == np.complex128 and not values.imag.any()
+    exact = 2 * np.cos(np.pi * np.arange(1, 42) / 42)
+    assert np.max(np.abs(np.sort(values.real) - np.sort(exact))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
