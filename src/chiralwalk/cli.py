@@ -27,7 +27,7 @@ from .index import (
     compute_index,
 )
 from .models import AsymptoticData, InvalidParameters, default_phase, reduce_to_um
-from .profiles import MINUS_INF, PLUS_INF, REAL, STARS, ParameterProfile
+from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
 from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum, sigma_star
 from .verify import run_verification, truncated_spectrum
 
@@ -99,7 +99,7 @@ def _alternative_phase(params, seed: int) -> ParameterProfile | None:
         overrides[x] = rng.uniform(0.0, 2.0 * np.pi)
     left = rng.uniform(0.0, 2.0 * np.pi) if left_free else base.left_limit
     right = rng.uniform(0.0, 2.0 * np.pi) if right_free else base.right_limit
-    return ParameterProfile(left, right, overrides, REAL)
+    return ParameterProfile(left, right, overrides)
 
 
 def _cmd_index(args) -> int:

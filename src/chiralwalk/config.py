@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .models import ModelParamsMko, ModelParamsUm
-from .profiles import COMPLEX, REAL, ParameterProfile
+from .profiles import ParameterProfile
 
 DEFAULT_OPTIONS = {
     "resolution": 2048,
@@ -23,15 +23,16 @@ DEFAULT_OPTIONS = {
     "seed": 0,
 }
 
-_UM_PROFILES = (("gamma", REAL), ("p", REAL), ("a", REAL), ("q", COMPLEX), ("b", COMPLEX))
-_MKO_PROFILES = (("gamma", REAL), ("phi", REAL), ("theta1", REAL), ("theta2", REAL))
+# (parameter, must be real) per model family
+_UM_PROFILES = (("gamma", True), ("p", True), ("a", True), ("q", False), ("b", False))
+_MKO_PROFILES = (("gamma", True), ("phi", True), ("theta1", True), ("theta2", True))
 
 
 class ConfigError(ValueError):
     """Config file failed to parse; the message carries the field path."""
 
 
-def _scalar(node, path: str, kind: str) -> complex:
+def _scalar(node, path: str, real: bool) -> complex:
     if isinstance(node, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
     if isinstance(node, (int, float)):
@@ -48,12 +49,12 @@ def _scalar(node, path: str, kind: str) -> complex:
         raise ConfigError(f"{path}: number too large for a float") from err
     if not cmath.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {node}")
-    if kind == REAL and value.imag != 0.0:
+    if real and value.imag != 0.0:
         raise ConfigError(f"{path}: expected a real value")
     return value
 
 
-def _profile(node, path: str, kind: str) -> ParameterProfile:
+def _profile(node, path: str, real: bool) -> ParameterProfile:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(node) - {"left", "right", "overrides"}
@@ -62,8 +63,8 @@ def _profile(node, path: str, kind: str) -> ParameterProfile:
     for key in ("left", "right"):
         if key not in node:
             raise ConfigError(f"{path}.{key}: missing")
-    left = _scalar(node["left"], f"{path}.left", kind)
-    right = _scalar(node["right"], f"{path}.right", kind)
+    left = _scalar(node["left"], f"{path}.left", real)
+    right = _scalar(node["right"], f"{path}.right", real)
     overrides = {}
     for idx, entry in enumerate(node.get("overrides", [])):
         epath = f"{path}.overrides[{idx}]"
@@ -72,8 +73,8 @@ def _profile(node, path: str, kind: str) -> ParameterProfile:
         site = entry["site"]
         if not isinstance(site, int) or isinstance(site, bool):
             raise ConfigError(f"{epath}.site: expected an integer")
-        overrides[site] = _scalar(entry["value"], f"{epath}.value", kind)
-    return ParameterProfile(left, right, overrides, kind)
+        overrides[site] = _scalar(entry["value"], f"{epath}.value", real)
+    return ParameterProfile(left, right, overrides)
 
 
 @dataclass
@@ -114,16 +115,22 @@ def parse_model_config(document: dict, source: str = "config") -> ModelConfig:
     if unknown:
         raise ConfigError(f"{source}.profiles.{sorted(unknown)[0]}: unknown parameter")
     profiles = {}
-    for name, value_kind in wanted:
+    for name, real in wanted:
         if name not in raw_profiles:
             raise ConfigError(f"{source}.profiles.{name}: missing")
-        profiles[name] = _profile(raw_profiles[name], f"{source}.profiles.{name}", value_kind)
+        profiles[name] = _profile(raw_profiles[name], f"{source}.profiles.{name}", real)
     options = document.get("options", {})
     if not isinstance(options, dict):
         raise ConfigError(f"{source}.options: expected an object")
     unknown = set(options) - set(DEFAULT_OPTIONS)
     if unknown:
         raise ConfigError(f"{source}.options.{sorted(unknown)[0]}: unknown option")
+    for name, value in options.items():
+        # tol is a number; resolution, window and seed are JSON integers
+        number = isinstance(DEFAULT_OPTIONS[name], float)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+            raise ConfigError(
+                f"{source}.options.{name}: expected {'a number' if number else 'an integer'}")
     return ModelConfig(kind=kind, m=m, profiles=profiles, options=dict(options))
 
 

@@ -22,13 +22,6 @@ from scipy import sparse
 from .profiles import ParameterProfile
 
 
-def _profile(v) -> ParameterProfile:
-    if isinstance(v, ParameterProfile):
-        return v
-    kind = "real" if complex(v).imag == 0.0 else "complex"
-    return ParameterProfile.constant(v, kind)
-
-
 @dataclass(frozen=True)
 class BandedOperator:
     """Banded block-Laurent operator with eventually constant coefficients.
@@ -47,7 +40,7 @@ class BandedOperator:
         cleaned = {}
         width = 0
         for (i, j, y), prof in self.coeff.items():
-            prof = _profile(prof)
+            prof = ParameterProfile.coerce(prof)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"block index ({i}, {j}) outside {n}x{n}")
             if prof.is_zero():
@@ -79,7 +72,7 @@ class BandedOperator:
             for j, v in enumerate(row):
                 if v is None:
                     continue
-                coeff[(i, j, 0)] = _profile(v)
+                coeff[(i, j, 0)] = ParameterProfile.coerce(v)
         return cls(n, coeff)
 
     # -- access -------------------------------------------------------------
@@ -87,7 +80,7 @@ class BandedOperator:
     def coefficient(self, i: int, j: int, y: int) -> ParameterProfile:
         prof = self.coeff.get((i, j, y))
         if prof is None:
-            return ParameterProfile.constant(0.0, "real")
+            return ParameterProfile.constant(0.0)
         return prof
 
     def sub_block(self, i: int, j: int) -> "BandedOperator":

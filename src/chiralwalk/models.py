@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .lattice import BandedOperator
-from .profiles import MINUS_INF, PLUS_INF, REAL, STARS, ParameterProfile
+from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
 
 NORMALIZATION_TOL = 1e-12
 # Largest |gamma| for which the coin's gains exp(+-2 gamma) (and the cosh(2 gamma)
@@ -71,14 +71,10 @@ def _check_gain(gamma: ParameterProfile):
         )
 
 
-def _require_real(prof: ParameterProfile, name: str) -> ParameterProfile:
-    if prof.value_kind != REAL:
-        # accept complex-kind profiles whose values happen to be real
-        vals = [prof.left_limit, prof.right_limit, *prof.overrides.values()]
-        if any(v.imag != 0.0 for v in vals):
-            raise InvalidParameters(f"profile {name} must be real-valued")
-        prof = ParameterProfile(prof.left_limit, prof.right_limit, dict(prof.overrides), REAL)
-    return prof
+def _require_real(prof: ParameterProfile, name: str):
+    vals = [prof.left_limit, prof.right_limit, *prof.overrides.values()]
+    if any(v.imag != 0.0 for v in vals):
+        raise InvalidParameters(f"profile {name} must be real-valued")
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class ModelParamsUm:
             raise InvalidParameters("step size m must be a non-zero integer")
         object.__setattr__(self, "m", int(self.m))
         for name in ("gamma", "p", "a"):
-            object.__setattr__(self, name, _require_real(getattr(self, name), name))
+            _require_real(getattr(self, name), name)
         _check_gain(self.gamma)
         _check_normalized(self.p, self.q, "p^2 + |q|^2 = 1")
         _check_normalized(self.a, self.b, "a^2 + |b|^2 = 1")
@@ -117,7 +113,7 @@ class ModelParamsMko:
 
     def __post_init__(self):
         for name in ("gamma", "phi", "theta1", "theta2"):
-            object.__setattr__(self, name, _require_real(getattr(self, name), name))
+            _require_real(getattr(self, name), name)
         _check_gain(self.gamma)
 
     def is_unitary_instance(self) -> bool:
@@ -168,7 +164,7 @@ class AsymptoticData:
 
 def default_phase(q: ParameterProfile) -> ParameterProfile:
     """Sitewise argument of q in [0, 2*pi), zero where q vanishes."""
-    return q.apply(lambda v: complex(_principal_angle(v)), REAL)
+    return q.apply(_principal_angle)
 
 
 def check_phase(q: ParameterProfile, theta: ParameterProfile):
@@ -184,7 +180,7 @@ def check_phase(q: ParameterProfile, theta: ParameterProfile):
 def _resolve_phase(params: ModelParamsUm, phase: ParameterProfile | None) -> ParameterProfile:
     if phase is None:
         return default_phase(params.q)
-    phase = _require_real(phase, "phase")
+    _require_real(phase, "phase")
     check_phase(params.q, phase)
     return phase
 
@@ -368,6 +364,6 @@ def phase_repair(params: ModelParamsUm, phase: ParameterProfile | None = None):
             x: (v if (take_left if x < 0 else take_right) else 0.0)
             for x, v in theta.overrides.items()
         }
-        return ParameterProfile(left, right, overrides, REAL)
+        return ParameterProfile(left, right, overrides)
 
     return select(+1.0), select(-1.0)

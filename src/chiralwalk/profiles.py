@@ -21,46 +21,33 @@ MINUS_INF = "-inf"
 PLUS_INF = "+inf"
 STARS = (MINUS_INF, PLUS_INF)
 
-REAL = "real"
-COMPLEX = "complex"
-
-
-def _as_scalar(v) -> complex:
-    return complex(v)
-
 
 @dataclass(frozen=True)
 class ParameterProfile:
     """Two-phase lattice sequence with finitely many overrides.
 
-    ``value_kind`` is ``"real"`` or ``"complex"``; real profiles must carry
-    exactly zero imaginary part everywhere.
+    Every value is stored as a finite ``complex``; override sites whose value
+    equals the limit on their side are dropped.  Whether a parameter must be
+    real is a property of the model, checked there (:mod:`chiralwalk.models`).
     """
 
     left_limit: complex
     right_limit: complex
     overrides: dict = field(default_factory=dict)
-    value_kind: str = COMPLEX
 
     def __post_init__(self):
-        left = _as_scalar(self.left_limit)
-        right = _as_scalar(self.right_limit)
+        left = complex(self.left_limit)
+        right = complex(self.right_limit)
         cleaned = {}
         for site, v in self.overrides.items():
             site = int(site)
-            v = _as_scalar(v)
+            v = complex(v)
             default = left if site < 0 else right
             if v != default:
                 cleaned[site] = v
         values = (left, right, *cleaned.values())
         if not all(map(cmath.isfinite, values)):
             raise ValueError(f"profile holds non-finite value in {values}")
-        if self.value_kind == REAL:
-            bad = [v for v in values if v.imag != 0.0]
-            if bad:
-                raise ValueError(f"real profile holds non-real value {bad[0]}")
-        elif self.value_kind != COMPLEX:
-            raise ValueError(f"unknown value_kind {self.value_kind!r}")
         object.__setattr__(self, "left_limit", left)
         object.__setattr__(self, "right_limit", right)
         object.__setattr__(self, "overrides", cleaned)
@@ -68,12 +55,13 @@ class ParameterProfile:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def constant(cls, v, kind: str = COMPLEX) -> "ParameterProfile":
-        return cls(v, v, {}, kind)
+    def constant(cls, v) -> "ParameterProfile":
+        return cls(v, v, {})
 
     @classmethod
-    def two_phase(cls, left, right, overrides=None, kind: str = COMPLEX) -> "ParameterProfile":
-        return cls(left, right, dict(overrides or {}), kind)
+    def coerce(cls, v) -> "ParameterProfile":
+        """``v`` itself if it is a profile, else the constant profile of the scalar ``v``."""
+        return v if isinstance(v, ParameterProfile) else cls.constant(v)
 
     # -- evaluation -------------------------------------------------------
 
@@ -106,71 +94,55 @@ class ParameterProfile:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def _zip(self, other: "ParameterProfile", fn, kind: str) -> "ParameterProfile":
+    def _zip(self, other, fn) -> "ParameterProfile":
+        other = ParameterProfile.coerce(other)
         sites = set(self.overrides) | set(other.overrides)
         return ParameterProfile(
             fn(self.left_limit, other.left_limit),
             fn(self.right_limit, other.right_limit),
             {x: fn(self.value(x), other.value(x)) for x in sites},
-            kind,
         )
 
-    def _combine_kind(self, other: "ParameterProfile") -> str:
-        if self.value_kind == REAL and other.value_kind == REAL:
-            return REAL
-        return COMPLEX
-
-    @staticmethod
-    def _coerce(other) -> "ParameterProfile":
-        if isinstance(other, ParameterProfile):
-            return other
-        kind = REAL if complex(other).imag == 0.0 else COMPLEX
-        return ParameterProfile.constant(other, kind)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        return self._zip(other, lambda u, v: u + v, self._combine_kind(other))
+        return self._zip(other, lambda u, v: u + v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self._zip(other, lambda u, v: u - v, self._combine_kind(other))
+        return self._zip(other, lambda u, v: u - v)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return ParameterProfile.coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return self._zip(other, lambda u, v: u * v, self._combine_kind(other))
+        return self._zip(other, lambda u, v: u * v)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.apply(lambda v: -v, self.value_kind)
+        return self.apply(lambda v: -v)
 
     def conj(self) -> "ParameterProfile":
-        return self.apply(lambda v: v.conjugate(), self.value_kind)
+        return self.apply(lambda v: v.conjugate())
 
     def abs(self) -> "ParameterProfile":
-        return self.apply(lambda v: complex(abs(v)), REAL)
+        return self.apply(abs)
 
-    def apply(self, fn, kind: str = COMPLEX) -> "ParameterProfile":
-        """Elementwise map; exact because only three kinds of value exist."""
+    def apply(self, fn) -> "ParameterProfile":
+        """Elementwise map; exact because a profile holds only its limits and overrides."""
         return ParameterProfile(
             fn(self.left_limit),
             fn(self.right_limit),
             {x: fn(v) for x, v in self.overrides.items()},
-            kind,
         )
 
     def real_map(self, fn) -> "ParameterProfile":
-        """Apply a real function to the (real) values, keeping real kind."""
-        return self.apply(lambda v: complex(fn(v.real)), REAL)
+        """Apply a real function to the real parts of the values."""
+        return self.apply(lambda v: fn(v.real))
 
     def cis(self, sign: int = 1) -> "ParameterProfile":
         """exp(i * sign * value) for a real-valued profile."""
-        return self.apply(lambda v: cmath.exp(1j * sign * v.real), COMPLEX)
+        return self.apply(lambda v: cmath.exp(1j * sign * v.real))
 
     # -- lattice shift ------------------------------------------------------
 
@@ -187,7 +159,6 @@ class ParameterProfile:
             self.left_limit,
             self.right_limit,
             {x: self.value(x + s) for x in sites},
-            self.value_kind,
         )
 
     # -- comparison ---------------------------------------------------------

@@ -6,7 +6,8 @@ banded (sparse) algebra, so their cost grows linearly in the window: residuals
 compare sparse matrix products of finite sections on interior rows, and the
 witness factors the banded Hermitian dilation of the off-diagonal block once
 and runs a block inverse iteration that returns the near-kernel singular
-values plus an upper bound on the next one.  Dense matrices appear only where
+values plus an upper bound on the next one, unless a diagonal-dominance bound
+already shows that there is no near-kernel.  Dense matrices appear only where
 a full spectrum is needed (truncated spectra, bound states, the unitary
 mapping check), and :data:`DENSE_BUDGET` bounds their window.
 
@@ -171,7 +172,11 @@ def _phase_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
     is real exactly when the phases around its cycles cancel.
     """
     nz = vals != 0
-    r, c, unit = rows[nz], cols[nz], vals[nz] / np.abs(vals[nz])
+    # scale each entry by a power of two to magnitude ~1 (exact), so |entry|
+    # cannot overflow near the gain limit
+    _, exponent = np.frexp(np.maximum(np.abs(vals[nz].real), np.abs(vals[nz].imag)))
+    scaled = np.ldexp(vals[nz].real, -exponent) + 1j * np.ldexp(vals[nz].imag, -exponent)
+    r, c, unit = rows[nz], cols[nz], scaled / np.abs(scaled)
     src, dst = np.concatenate([r, c]), np.concatenate([c, r])
     order = np.lexsort((dst, src))                   # stable: a[u, v] before conj(a[v, u])
     start = np.searchsorted(src[order], np.arange(size + 1)).tolist()
@@ -309,8 +314,22 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
     other right Ritz vectors (orthogonal to the near-kernel ones): by
     Courant-Fischer an upper bound on the next singular value, not that
     value converged.  Every step costs time linear in the size of ``a``.
+
+    Before iterating it computes Johnson's lower bound on sigma_min (C. R.
+    Johnson, Linear Algebra Appl. 112, 1989), min_i (|a_ii| - (r_i + c_i) / 2)
+    with r_i, c_i the off-diagonal absolute row and column sums.  When that
+    exceeds ``KERNEL_THRESHOLD`` there is no near-kernel, and the smallest
+    absolute column sum, which is >= ||a e_j|| >= sigma_min, is the bound.
+    At large gain every singular value sits in a narrow cluster far above the
+    shift, where the iteration cannot align the block's halves.
     """
     size = a.shape[0]
+    magnitudes = abs(a)
+    diag = np.abs(a.diagonal())
+    columns = magnitudes.sum(axis=0)
+    off_diagonal = magnitudes.sum(axis=1) + columns - 2.0 * diag
+    if np.min(diag - 0.5 * off_diagonal) > KERNEL_THRESHOLD:
+        return np.array([np.min(columns)])
     u = 2 * bandwidth + 1
     lu, pivots, info = zgbtrf(_dilation_band(a, bandwidth), u, u, overwrite_ab=1)
     if info != 0:
@@ -457,6 +476,8 @@ class VerificationReport:
 
 def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> VerificationReport:
     """Full residual/witness suite for one parameter set."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance {tol} must be finite and > 0")
     report = VerificationReport(window=window, tolerance=tol, checks=[])
 
     def record(name, passed, detail):

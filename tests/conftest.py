@@ -12,7 +12,7 @@ from chiralwalk.profiles import ParameterProfile
 
 
 def real_profile(left, right, overrides=None):
-    return ParameterProfile.two_phase(left, right, overrides, kind="real")
+    return ParameterProfile(left, right, overrides or {})
 
 
 def reference_params(m: int = 1, gamma: float = 0.4) -> ModelParamsUm:
@@ -41,8 +41,7 @@ def reference_mko_params(gamma: float = 0.4, phi: float = 0.15) -> ModelParamsMk
 
 def random_real_profile(rng, lo, hi, sites=2):
     overrides = {int(s): rng.uniform(lo, hi) for s in rng.integers(-4, 5, size=sites)}
-    return ParameterProfile.two_phase(rng.uniform(lo, hi), rng.uniform(lo, hi),
-                                      overrides, kind="real")
+    return ParameterProfile(rng.uniform(lo, hi), rng.uniform(lo, hi), overrides)
 
 
 def _unimodular_partner(rng, u: ParameterProfile) -> ParameterProfile:
@@ -60,7 +59,7 @@ def random_um_params(rng, m=None, gamma_zero=False, gamma_range=1.0, sites=2) ->
     m = int(m if m is not None else rng.choice([-3, -2, -1, 1, 2, 3]))
     p = random_real_profile(rng, -0.95, 0.95, sites)
     a = random_real_profile(rng, -0.95, 0.95, sites)
-    gamma = (ParameterProfile.constant(0.0, "real") if gamma_zero
+    gamma = (ParameterProfile.constant(0.0) if gamma_zero
              else random_real_profile(rng, -gamma_range, gamma_range, sites))
     return ModelParamsUm(m=m, gamma=gamma, p=p, a=a,
                          q=_unimodular_partner(rng, p),

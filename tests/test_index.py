@@ -24,7 +24,7 @@ import chiralwalk.index
 from chiralwalk.cli import main
 from chiralwalk.index import symbols_from_block
 from chiralwalk.models import default_phase
-from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile, REAL
+from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 
 from conftest import random_fredholm_params, random_um_params, real_profile, reference_params
 
@@ -213,7 +213,7 @@ def test_plain_coin_walk_has_index_zero():
     params = ModelParamsUm(m=1, gamma=real_profile(0, 0),
                            p=real_profile(0, 0), a=real_profile(0.6, 0.6),
                            q=ParameterProfile.constant(1.0),
-                           b=ParameterProfile.two_phase(0.8 * np.exp(0.3j), 0.8 * np.exp(1.1j)))
+                           b=ParameterProfile(0.8 * np.exp(0.3j), 0.8 * np.exp(1.1j)))
     report = compute_index(params)
     assert report.fredholm
     assert report.analytic_index == 0
@@ -245,9 +245,9 @@ def test_index_ignores_finite_overrides():
     report = compute_index(base)
     for _ in range(5):
         gamma = ParameterProfile(0.4, 0.4, {int(s): rng.uniform(-1, 1)
-                                            for s in rng.integers(-6, 7, size=3)}, REAL)
+                                            for s in rng.integers(-6, 7, size=3)})
         p_sites = {int(s): rng.uniform(-0.9, 0.9) for s in rng.integers(-6, 7, size=3)}
-        p = ParameterProfile(-0.2, 0.2, p_sites, REAL)
+        p = ParameterProfile(-0.2, 0.2, p_sites)
         q = ParameterProfile(math.sqrt(0.96), math.sqrt(0.96),
                              {x: math.sqrt(1 - v * v) * np.exp(1j * rng.uniform(0, 6))
                               for x, v in p_sites.items()})
@@ -260,7 +260,7 @@ def test_index_ignores_finite_overrides():
 def test_index_is_invariant_under_phase_reassignment():
     rng = np.random.default_rng(34)
     # q vanishes at two sites and on the right tail: those phases are free
-    p = ParameterProfile(0.3, 1.0, {0: 1.0, 2: -1.0}, REAL)
+    p = ParameterProfile(0.3, 1.0, {0: 1.0, 2: -1.0})
     q = ParameterProfile(math.sqrt(0.91) * np.exp(0.5j), 0.0, {0: 0.0, 2: 0.0})
     params = ModelParamsUm(m=1, gamma=real_profile(0.25, 0.25), p=p,
                            a=real_profile(0.5, 0.5),
@@ -274,7 +274,7 @@ def test_index_is_invariant_under_phase_reassignment():
             if v == 0:
                 overrides[x] = rng.uniform(0, 2 * np.pi)
         alt = ParameterProfile(theta.left_limit, rng.uniform(0, 2 * np.pi),
-                               overrides, REAL)
+                               overrides)
         other = compute_index(params, phase=alt)
         assert other.analytic_index == base.analytic_index
         assert (other.wn_minus_num, other.wn_plus_num) == (base.wn_minus_num, base.wn_plus_num)
@@ -302,8 +302,8 @@ def near_boundary_params(m, margin, p, gamma, a_sign=1.0, at_plus=True,
     (p0, g0, a0), (p1, g1, a1) = (other, near) if at_plus else (near, other)
 
     def partner(u0, u1, phase0, phase1):
-        return ParameterProfile.two_phase(math.sqrt(1.0 - u0 * u0) * np.exp(1j * phase0),
-                                          math.sqrt(1.0 - u1 * u1) * np.exp(1j * phase1))
+        return ParameterProfile(math.sqrt(1.0 - u0 * u0) * np.exp(1j * phase0),
+                                math.sqrt(1.0 - u1 * u1) * np.exp(1j * phase1))
 
     return ModelParamsUm(m=m, gamma=real_profile(g0, g1), p=real_profile(p0, p1),
                          a=real_profile(a0, a1),

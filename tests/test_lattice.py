@@ -12,7 +12,7 @@ def random_operator(rng, block_size=2, bandwidth=1, sites=3):
     def prof():
         overrides = {int(s): complex(rng.standard_normal(), rng.standard_normal())
                      for s in rng.integers(-3, 4, size=sites)}
-        return ParameterProfile.two_phase(
+        return ParameterProfile(
             complex(rng.standard_normal(), rng.standard_normal()),
             complex(rng.standard_normal(), rng.standard_normal()),
             overrides,
@@ -22,6 +22,13 @@ def random_operator(rng, block_size=2, bandwidth=1, sites=3):
              for i in range(block_size) for j in range(block_size)
              for y in range(-bandwidth, bandwidth + 1)}
     return BandedOperator(block_size, coeff)
+
+
+def test_scalar_coefficients_coerce_to_constant_profiles():
+    assert BandedOperator(1, {(0, 0, 0): 2.0}).coefficient(0, 0, 0) == ParameterProfile.constant(2.0)
+    assert BandedOperator(1, {}).coefficient(0, 0, 1) == ParameterProfile.constant(0.0)
+    op = BandedOperator.multiplication([[0.5j]])
+    assert op.coefficient(0, 0, 0) == ParameterProfile.constant(0.5j)
 
 
 def test_shift_zero_is_identity():
@@ -57,7 +64,7 @@ def test_compose_identity_is_neutral():
 
 
 def test_compose_shift_with_multiplication_shifts_the_profile():
-    gamma = ParameterProfile.two_phase(0.3, 0.7, {0: 0.5}, kind="real")
+    gamma = ParameterProfile(0.3, 0.7, {0: 0.5})
     op = compose(BandedOperator.shift(1), BandedOperator.multiplication([[gamma]]))
     prof = op.coefficient(0, 0, 1)
     for x in range(-4, 4):

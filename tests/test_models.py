@@ -63,6 +63,32 @@ def test_rejects_complex_gain():
                       b=ParameterProfile.constant(1.0))
 
 
+@pytest.mark.parametrize("name", ["gamma", "p", "a"])
+def test_rejects_an_imaginary_part_only_in_an_override(name):
+    fields = dict(gamma=real_profile(0.2, 0.2), p=real_profile(0.6, 0.6),
+                  a=real_profile(0.6, 0.6), q=ParameterProfile.constant(0.8),
+                  b=ParameterProfile.constant(0.8))
+    limit = fields[name].left_limit
+    fields[name] = ParameterProfile(limit, limit, {3: limit + 1e-9j})
+    with pytest.raises(InvalidParameters, match=f"profile {name} must be real-valued"):
+        ModelParamsUm(m=1, **fields)
+
+
+def test_rejects_a_complex_phi_override():
+    with pytest.raises(InvalidParameters, match="profile phi must be real-valued"):
+        ModelParamsMko(gamma=real_profile(0.4, 0.4),
+                       phi=ParameterProfile(0.15, 0.15, {0: 0.15 + 0.1j}),
+                       theta1=real_profile(0.2, -0.2), theta2=real_profile(-0.1, 0.1))
+
+
+def test_rejects_a_complex_phase_assignment():
+    params = random_um_params(np.random.default_rng(3))
+    phase = default_phase(params.q) + 1e-3j
+    for build in (grading_eigenbasis, offdiag_block, phase_repair):
+        with pytest.raises(InvalidParameters, match="profile phase must be real-valued"):
+            build(params, phase)
+
+
 # ---------------------------------------------------------------------------
 # grading and coin
 # ---------------------------------------------------------------------------
@@ -251,7 +277,7 @@ def test_offdiag_block_no_gain_substitution():
 def test_offdiag_block_is_diagonal_when_coupling_vanishes():
     params = ModelParamsUm(m=2, gamma=real_profile(0.1, 0.1),
                            p=real_profile(0.6, 0.8), a=real_profile(1.0, 1.0),
-                           q=ParameterProfile.two_phase(0.8, 0.6),
+                           q=ParameterProfile(0.8, 0.6),
                            b=ParameterProfile.constant(0.0))
     block = offdiag_block(params)
     assert set(y for (_, _, y) in block.coeff) == {0}
@@ -279,7 +305,7 @@ def test_phase_repair_vanishes_for_interior_p_limits():
 def _extreme_p_params(sign_right):
     # p -> 0.6 on the left, +-1 on the right (so q -> 0 on the right)
     p = real_profile(0.6, sign_right * 1.0)
-    q = ParameterProfile.two_phase(0.8 * np.exp(0.4j), 0.0)
+    q = ParameterProfile(0.8 * np.exp(0.4j), 0.0)
     return ModelParamsUm(m=1, gamma=real_profile(0.2, 0.2), p=p,
                          a=real_profile(0.5, 0.5),
                          q=q, b=ParameterProfile.constant(math.sqrt(0.75)))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chiralwalk.profiles import COMPLEX, REAL, ParameterProfile
+from chiralwalk.profiles import ParameterProfile
 
 
 def test_regime_convention_and_overrides():
-    prof = ParameterProfile.two_phase(-1.0, 2.0, {0: 5.0, -3: 7.0})
+    prof = ParameterProfile(-1.0, 2.0, {0: 5.0, -3: 7.0})
     assert prof.value(-1) == -1.0
     assert prof.value(0) == 5.0
     assert prof.value(-3) == 7.0
@@ -17,24 +17,26 @@ def test_regime_convention_and_overrides():
 
 
 def test_overrides_equal_to_default_are_pruned():
-    prof = ParameterProfile.two_phase(1.0, 2.0, {-1: 1.0, 0: 2.0, 3: 9.0})
+    prof = ParameterProfile(1.0, 2.0, {-1: 1.0, 0: 2.0, 3: 9.0})
     assert prof.overrides == {3: 9.0}
     assert prof.support_radius == 4
 
 
-def test_real_kind_rejects_imaginary_values():
-    with pytest.raises(ValueError):
-        ParameterProfile.two_phase(1.0, 2.0 + 1e-9j, kind=REAL)
-    with pytest.raises(ValueError):
-        ParameterProfile.two_phase(1.0, 2.0, {0: 1j}, kind=REAL)
+def test_a_profile_holds_values_and_no_kind():
+    with pytest.raises(TypeError):
+        ParameterProfile(1, 2, {}, "real")
+    prof = ParameterProfile(1.0, 2.0, {0: 3.0})
+    assert ParameterProfile.coerce(prof) is prof
+    assert ParameterProfile.coerce(2.0) == ParameterProfile.constant(2.0) == ParameterProfile(2, 2, {})
+    assert ParameterProfile.coerce(0.5j).left_limit == 0.5j
 
 
 def test_non_finite_values_are_rejected():
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(ValueError, match="non-finite"):
-            ParameterProfile.two_phase(bad, 1.0)
+            ParameterProfile(bad, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            ParameterProfile.two_phase(1.0, 1.0, {2: bad})
+            ParameterProfile(1.0, 1.0, {2: bad})
 
 
 def test_shift_matches_brute_force_window():
@@ -42,7 +44,7 @@ def test_shift_matches_brute_force_window():
     for _ in range(40):
         overrides = {int(s): complex(rng.standard_normal(), rng.standard_normal())
                      for s in rng.integers(-5, 6, size=3)}
-        prof = ParameterProfile.two_phase(
+        prof = ParameterProfile(
             complex(rng.standard_normal(), rng.standard_normal()),
             complex(rng.standard_normal(), rng.standard_normal()),
             overrides,
@@ -54,7 +56,7 @@ def test_shift_matches_brute_force_window():
 
 
 def test_shift_keeps_limits_and_stays_eventually_constant():
-    prof = ParameterProfile.two_phase(2.0, 3.0, {1: 4.0})
+    prof = ParameterProfile(2.0, 3.0, {1: 4.0})
     shifted = prof.shifted(5)
     assert shifted.left_limit == 2.0 and shifted.right_limit == 3.0
     assert shifted.support_radius <= prof.support_radius + 5
@@ -64,8 +66,8 @@ def test_shift_keeps_limits_and_stays_eventually_constant():
 
 def test_pointwise_algebra_matches_values():
     rng = np.random.default_rng(6)
-    u = ParameterProfile.two_phase(1.5, -0.5, {0: 2.0}, kind=REAL)
-    v = ParameterProfile.two_phase(0.5j, 2.0, {2: 1.0 + 1j})
+    u = ParameterProfile(1.5, -0.5, {0: 2.0})
+    v = ParameterProfile(0.5j, 2.0, {2: 1.0 + 1j})
     for x in range(-4, 5):
         assert (u + v).value(x) == u.value(x) + v.value(x)
         assert (u - v).value(x) == u.value(x) - v.value(x)
@@ -74,12 +76,10 @@ def test_pointwise_algebra_matches_values():
         assert (-u).value(x) == -u.value(x)
         assert v.conj().value(x) == v.value(x).conjugate()
         assert v.abs().value(x) == abs(v.value(x))
-    assert (u * u).value_kind == REAL
-    assert (u * v).value_kind == COMPLEX
 
 
 def test_real_map_and_cis():
-    theta = ParameterProfile.two_phase(0.3, -1.2, {0: 0.7}, kind=REAL)
+    theta = ParameterProfile(0.3, -1.2, {0: 0.7})
     sin = theta.real_map(math.sin)
     assert sin.value(0) == complex(math.sin(0.7))
     twist = theta.cis(-1)
@@ -88,14 +88,14 @@ def test_real_map_and_cis():
 
 
 def test_allclose_and_max_abs_diff():
-    u = ParameterProfile.two_phase(1.0, 2.0, {0: 3.0})
-    v = ParameterProfile.two_phase(1.0, 2.0, {0: 3.0 + 5e-13})
+    u = ParameterProfile(1.0, 2.0, {0: 3.0})
+    v = ParameterProfile(1.0, 2.0, {0: 3.0 + 5e-13})
     assert u.allclose(v)
     assert not u.allclose(v, tol=1e-14)
     assert abs(u.max_abs_diff(v) - 5e-13) < 1e-15
 
 
 def test_values_matches_value_sitewise():
-    prof = ParameterProfile.two_phase(0.3 + 1j, -2.0, {-2: 5.0, 0: 1j, 7: 0.25})
+    prof = ParameterProfile(0.3 + 1j, -2.0, {-2: 5.0, 0: 1j, 7: 0.25})
     xs = np.arange(-9, 10)
     assert np.array_equal(prof.values(xs), [prof.value(int(x)) for x in xs])

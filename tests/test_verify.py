@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from chiralwalk import (
     run_verification,
     truncated_spectrum,
 )
+from chiralwalk.cli import main
 from chiralwalk.config import load_model_config
 from chiralwalk.lattice import BandedOperator
 from chiralwalk.models import (
@@ -286,6 +289,23 @@ def test_an_all_real_spectrum_still_comes_back_complex():
     assert np.max(np.abs(np.sort(values.real) - np.sort(exact))) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_mko"])
+def test_the_phase_gauge_does_not_overflow_at_the_gain_limit(tmp_path, capsys, name):
+    # walk entries reach ~exp(708) at gamma 354: |entry| of the largest
+    # overflows unless each entry is first scaled to magnitude ~1
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": 354.0, "right": 354.0}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walk_op = build_pair(load_model_config(path).build())[1]
+        assert verify_module._gauged_section(walk_op, 60).matrix.dtype == np.float64
+        assert main(["plot", str(path), "--overlay-window", "60",
+                     "--out", str(tmp_path / "figure.svg")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # kernel witnesses
 # ---------------------------------------------------------------------------
@@ -312,8 +332,8 @@ def diagonal_params(q_overrides):
     # vanishing coupling, unit diagonal coin, no gain: the block is the
     # multiplication operator -i |q|, so singular values are the |q a| values
     p_overrides = {x: math.sqrt(1.0 - v * v) for x, v in q_overrides.items()}
-    p = ParameterProfile.two_phase(0.6, 0.8, p_overrides, kind="real")
-    q = ParameterProfile.two_phase(0.8, 0.6, q_overrides, kind="real")
+    p = ParameterProfile(0.6, 0.8, p_overrides)
+    q = ParameterProfile(0.8, 0.6, q_overrides)
     return ModelParamsUm(m=1, gamma=real_profile(0, 0), p=p,
                          a=real_profile(1.0, 1.0), q=q,
                          b=ParameterProfile.constant(0.0))
@@ -410,6 +430,18 @@ def test_witness_counts_and_iterations_at_wide_windows(monkeypatch, name, count)
     monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 20)
     um = reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
     assert [kernel_witness(um, n).count for n in (600, 2000, 10000)] == [count] * 3
+
+
+@pytest.mark.parametrize("gamma", [3.0, 5.0, 8.0])
+def test_witness_certifies_an_empty_near_kernel_at_large_gain(monkeypatch, gamma):
+    # the diagonal dominates: Johnson's bound certifies count 0 without
+    # iterating, and the smallest column sum bounds sigma_min from above
+    monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 0)
+    params = reference_params(gamma=gamma)
+    witness = kernel_witness(params, 100)
+    assert witness.count == 0 and len(witness.singular_values) == 1
+    inner = offdiag_block(params).finite_section(100).matrix[1:-1, 1:-1]
+    assert KERNEL_THRESHOLD < np.linalg.svd(inner, compute_uv=False)[-1] <= witness.smallest
 
 
 def test_witness_iteration_cap_is_a_verification_error(monkeypatch):
