@@ -26,7 +26,6 @@ from .models import (
     mko_to_um,
     mko_walk,
     offdiag_block,
-    phase_repair,
     reduce_to_um,
     walk,
 )

@@ -94,7 +94,9 @@ def _alternative_phase(params, seed: int) -> ParameterProfile | None:
     right_free = params.q.right_limit == 0
     if not (free_sites or left_free or right_free):
         return None
-    overrides = dict(base.overrides)
+    # every override site of q keeps its own phase, also where it equals the
+    # default tail phase, before the tails where q vanishes are re-drawn
+    overrides = {x: base.value(x) for x in params.q.overrides}
     for x in free_sites:
         overrides[x] = rng.uniform(0.0, 2.0 * np.pi)
     left = rng.uniform(0.0, 2.0 * np.pi) if left_free else base.left_limit
@@ -175,6 +177,11 @@ def cloud_csv(result: EssentialSpectrumResult, resolution: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(x: float) -> str:
+    """Six decimals; in exponent form from |x| = 1e6 on, so large gains print short lines."""
+    return f"{x:.6e}" if abs(x) >= 1e6 else f"{x:.6f}"
+
+
 def _cmd_spectrum(args) -> int:
     params = _load(args).build()
     um = reduce_to_um(params)
@@ -184,8 +191,8 @@ def _cmd_spectrum(args) -> int:
     for ep in (result.minus, result.plus):
         d = ep.data
         print(f"endpoint {ep.star}: case {ep.case_tag}, s = {d.s:+d}, "
-              f"Lambda = [{d.lam_minus:.6f}, {d.lam_plus:.6f}], "
-              f"gamma range = [{d.gamma_minus:.6f}, {d.gamma_plus:.6f}]")
+              f"Lambda = [{_decimal(d.lam_minus)}, {_decimal(d.lam_plus)}], "
+              f"gamma range = [{_decimal(d.gamma_minus)}, {_decimal(d.gamma_plus)}]")
         print(f"  sampling oracle: Hausdorff {ep.hausdorff:.3e} "
               f"(tolerance {ep.tolerance:.3e}) "
               f"{'ok' if ep.within_tolerance else 'EXCEEDED'}")

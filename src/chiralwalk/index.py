@@ -9,25 +9,26 @@ The index is computed along three independent routes and must be unanimous:
    symbols, on a grid bisected only where the symbol nears zero until each
    interval's argument increment is certified by the symbol's slope bound.
 
-The endpoint symbols are trigonometric polynomials obtained as the
-coefficient limits of the phase-repaired off-diagonal block; route 3 consumes
-only those sampled values and the slope bound, so it is independent of the
-geometry used in route 2 and of the branch logic used in route 1.
+The endpoint symbols are trigonometric polynomials read off the coefficient
+limits of the off-diagonal block, times a unit phase at an endpoint where p
+tends to +-1; route 3 consumes only those sampled values and the slope bound,
+so it is independent of the geometry used in route 2 and of the branch logic
+used in route 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BandedOperator
 from .models import (
+    NORMALIZATION_TOL,
     AsymptoticData,
     ModelParamsUm,
     offdiag_block,
-    phase_repair,
     _resolve_phase,
 )
 from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
@@ -68,7 +69,8 @@ class SymbolFunction:
 
     Evaluates to ``(leading z^m + trailing z^-m - 2 c) / (-2i)`` on the unit
     circle.  ``c`` is real; the coefficients come either from the closed-form
-    endpoint data or from the coefficient limits of the rephased block.
+    endpoint data or from the coefficient limits of the block
+    (:func:`symbols_from_block`).
     """
 
     star: str
@@ -99,30 +101,33 @@ class SymbolFunction:
         return 0.5 * abs(self.m) * (abs(self.leading) + abs(self.trailing))
 
 
-def rephased_block(params: ModelParamsUm, phase: ParameterProfile | None = None) -> BandedOperator:
-    """-2i times the off-diagonal block, conjugated by the repair phases.
+def symbols_from_block(params: ModelParamsUm, phase: ParameterProfile | None = None) -> dict:
+    """Endpoint symbols read off the coefficient limits of -2i times the block.
 
-    The result is a scalar banded operator whose three coefficient profiles
-    converge at both endpoints to the symbol coefficients.
+    Where p tends to +1 (resp. -1), q vanishes, so its phase theta there is
+    free, yet the block's leading (resp. trailing) limit carries e^{+i theta}
+    (resp. e^{-i theta}).  The symbol is the limit of the block between
+    multiplications by e^{-i theta} on the left (resp. e^{+i theta} on the
+    right), and since every profile is eventually constant, each limit of
+    that product is the product of the limits.
     """
     theta = _resolve_phase(params, phase)
-    theta_plus, theta_minus = phase_repair(params, theta)
-    block = offdiag_block(params, theta).scaled(-2.0j)
-    left = BandedOperator.multiplication([[theta_plus.cis(-1)]])
-    right = BandedOperator.multiplication([[theta_minus.cis(+1)]])
-    return left @ block @ right
-
-
-def symbols_from_block(params: ModelParamsUm, phase: ParameterProfile | None = None) -> dict:
-    """Endpoint symbols read off the rephased block's coefficient limits."""
-    op = rephased_block(params, phase)
+    block = offdiag_block(params, theta)
     m = params.m
     out = {}
     for star in STARS:
-        leading = op.coefficient(0, 0, m).limit(star)
-        trailing = op.coefficient(0, 0, -m).limit(star)
-        c = -op.coefficient(0, 0, 0).limit(star) / 2.0
-        out[star] = SymbolFunction(star=star, m=m, c=c.real, leading=leading, trailing=trailing)
+        p = params.p.limit(star).real
+        angle = theta.limit(star).real
+        # a repair phase of 0 where p does not tend to +-1; exp(-+i 0) = 1 -+ 0i
+        # (not 1) fixes the signed zeros of the products
+        left = cmath.exp(-1j * (angle if abs(p - 1.0) <= NORMALIZATION_TOL else 0.0))
+        right = cmath.exp(1j * (angle if abs(p + 1.0) <= NORMALIZATION_TOL else 0.0))
+        limits = {y: (left * (prof.limit(star) * -2j)) * right
+                  for (_, _, y), prof in block.coeff.items()}
+        # a coefficient that vanishes identically is absent from the block and reads +0
+        leading, trailing, diagonal = (limits.get(y, 0j) for y in (m, -m, 0))
+        out[star] = SymbolFunction(star=star, m=m, c=(-diagonal / 2.0).real,
+                                   leading=leading, trailing=trailing)
     return out
 
 

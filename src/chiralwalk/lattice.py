@@ -133,9 +133,6 @@ class BandedOperator:
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
         return self + other.scaled(-1.0)
 
-    def __neg__(self):
-        return self.scaled(-1.0)
-
     # -- comparison ----------------------------------------------------------
 
     def max_coeff_diff(self, other: "BandedOperator") -> float:
@@ -147,10 +144,6 @@ class BandedOperator:
 
     def allclose(self, other: "BandedOperator", tol: float = 1e-12) -> bool:
         return self.block_size == other.block_size and self.max_coeff_diff(other) <= tol
-
-    @property
-    def support_radius(self) -> int:
-        return max((prof.support_radius for prof in self.coeff.values()), default=0)
 
     # -- finite sections -------------------------------------------------------
 

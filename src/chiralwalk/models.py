@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .lattice import BandedOperator
-from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
+from .profiles import STARS, ParameterProfile
 
 NORMALIZATION_TOL = 1e-12
 # Largest |gamma| for which the coin's gains exp(+-2 gamma) (and the cosh(2 gamma)
@@ -115,9 +115,6 @@ class ModelParamsMko:
         for name in ("gamma", "phi", "theta1", "theta2"):
             _require_real(getattr(self, name), name)
         _check_gain(self.gamma)
-
-    def is_unitary_instance(self) -> bool:
-        return self.gamma.max_abs() <= NORMALIZATION_TOL
 
 
 def _principal_angle(w: complex) -> float:
@@ -342,28 +339,3 @@ def offdiag_block(params: ModelParamsUm, phase: ParameterProfile | None = None) 
         (0, 0, 0): diag,
     })
     return minus_2i_block.scaled(0.5j)
-
-
-def phase_repair(params: ModelParamsUm, phase: ParameterProfile | None = None):
-    """Left/right phase corrections making the rephased block coefficients converge.
-
-    Returns the pair ``(theta_plus, theta_minus)``: on each half line the
-    correction copies the phase assignment when the p-limit on that side is
-    +1 (resp. -1) and vanishes otherwise.
-    """
-    theta = _resolve_phase(params, phase)
-    p_left = params.p.limit(MINUS_INF).real
-    p_right = params.p.limit(PLUS_INF).real
-
-    def select(want: float) -> ParameterProfile:
-        take_left = abs(p_left - want) <= NORMALIZATION_TOL
-        take_right = abs(p_right - want) <= NORMALIZATION_TOL
-        left = theta.left_limit if take_left else 0.0
-        right = theta.right_limit if take_right else 0.0
-        overrides = {
-            x: (v if (take_left if x < 0 else take_right) else 0.0)
-            for x, v in theta.overrides.items()
-        }
-        return ParameterProfile(left, right, overrides)
-
-    return select(+1.0), select(-1.0)

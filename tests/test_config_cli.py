@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import xml.dom.minidom
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from chiralwalk import spectrum as spectrum_module
 from chiralwalk import verify as verify_module
@@ -141,6 +144,67 @@ def test_index_command_phase_cross_check(tmp_path, capsys):
     assert main(["index", path, "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "phase-assignment cross-check (seed 3): consistent" in out
+
+
+def extreme_tail_document(m, side, sign, phases, p_sites, other, seed=0):
+    """m-step config with p -> sign * 1 (so q -> 0) on ``side`` and q != 0 overrides there.
+
+    ``phases`` are the phases of q at the override sites ``p_sites`` (a dict of
+    p values); ``other`` is (p, gamma, a) at the opposite end.
+    """
+    p_other, gamma, a_other = other
+    q_other = math.sqrt(1 - p_other ** 2)
+    ends = {"p": (float(sign), p_other), "q": (0.0, q_other), "a": (0.5, a_other)}
+    profiles = {}
+    for name, (extreme, opposite) in ends.items():
+        left, right = (extreme, opposite) if side == "left" else (opposite, extreme)
+        profiles[name] = {"left": left, "right": right}
+    profiles["p"]["overrides"] = [{"site": x, "value": v} for x, v in p_sites.items()]
+    profiles["q"]["overrides"] = [
+        {"site": x, "value": [math.sqrt(1 - v * v) * math.cos(t), math.sqrt(1 - v * v) * math.sin(t)]}
+        for (x, v), t in zip(p_sites.items(), phases)]
+    profiles["gamma"] = {"left": gamma, "right": gamma}
+    profiles["b"] = {"left": math.sqrt(1 - profiles["a"]["left"] ** 2),
+                     "right": math.sqrt(1 - profiles["a"]["right"] ** 2)}
+    return {"model": "um", "m": m, "profiles": profiles, "options": {"seed": seed}}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_index_cross_check_keeps_an_override_phase_equal_to_the_tail_phase(tmp_path, capsys, seed):
+    # q(0) = sqrt(0.91) > 0 has phase 0, the default phase of the q = 0 tail;
+    # re-drawing that tail must not move the phase at site 0
+    doc = um_document()
+    doc["profiles"]["gamma"] = {"left": 0.2, "right": 0.2}
+    doc["profiles"]["p"] = {"left": 0.6, "right": 1.0, "overrides": [{"site": 0, "value": 0.3}]}
+    doc["profiles"]["a"] = {"left": 0.5, "right": 0.5}
+    doc["profiles"]["b"] = {"left": math.sqrt(0.75), "right": math.sqrt(0.75)}
+    doc["profiles"]["q"] = {"left": 0.8, "right": 0.0,
+                            "overrides": [{"site": 0, "value": math.sqrt(0.91)}]}
+    assert main(["index", write_config(tmp_path, doc), "--seed", str(seed)]) == 0
+    captured = capsys.readouterr()
+    assert f"phase-assignment cross-check (seed {seed}): consistent" in captured.out
+    assert captured.err == ""
+
+
+@settings(derandomize=True, deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.sampled_from([-3, -2, -1, 1, 2, 3]), side=st.sampled_from(["left", "right"]),
+       sign=st.sampled_from([-1, 1]), seed=st.integers(0, 100),
+       p_sites=st.dictionaries(st.integers(-5, 5), st.floats(-0.9, 0.9), min_size=1, max_size=3),
+       phases=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.28)), min_size=3, max_size=3),
+       other=st.tuples(st.floats(-0.9, 0.9), st.floats(-1.0, 1.0), st.floats(-0.9, 0.9)))
+def test_index_cross_check_is_consistent_with_a_vanishing_q_tail(tmp_path, m, side, sign, seed,
+                                                                 p_sites, phases, other):
+    p_other, gamma, a_other = other
+    pg = abs(p_other) / math.sqrt(p_other ** 2 + (1 - p_other ** 2) * math.cosh(2 * gamma) ** 2)
+    assume(abs(pg - abs(a_other)) > 0.05)
+    # overrides on the q = 0 side, where the tail phase is re-drawn
+    p_sites = {(abs(x) if side == "right" else -abs(x) - 1): v for x, v in p_sites.items()}
+    doc = extreme_tail_document(m, side, sign, phases, p_sites, other, seed)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["index", write_config(tmp_path, doc)]) == 0
+    assert f"phase-assignment cross-check (seed {seed}): consistent" in out.getvalue()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -289,6 +353,14 @@ def test_large_gain_spectrum_oracle_agrees_with_the_closed_form(tmp_path, capsys
     assert xml.dom.minidom.parse(str(tmp_path / "figure.svg")).documentElement.tagName == "svg"
 
 
+def test_large_gain_spectrum_prints_short_lines(tmp_path, capsys):
+    # Lambda ~ cosh(2 gamma)-sized values print in exponent form, not as 306 digits
+    assert main(["spectrum", large_gain_config(tmp_path, 354.0)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "Lambda = [3.023383e+305, 3.023383e+305]" in lines[0]
+    assert max(len(line) for line in lines) < 200
+
+
 @pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
 def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, monkeypatch, gamma):
     # halving every sampled eigenvalue moves the cloud off the closed-form sets
@@ -332,11 +404,13 @@ def test_verify_command_lists_a_witness_failure_as_a_fail_line(capsys, monkeypat
 @pytest.mark.parametrize("gamma, residual", [(12.0, "5.840e-08"), (15.0, "2.990e-05")])
 def test_verify_command_passes_chirality_at_large_gain(tmp_path, capsys, gamma, residual):
     # walk entries reach ~exp(2 gamma) (2.6e9 at gamma 12), so the absolute
-    # residual is pure roundoff; on the walk's entry scale it is ~2e-17
+    # residual is pure roundoff; on the walk's entry scale it is ~2e-17, and
+    # the line names that scale
+    scale = {12.0: "2.595e+09", 15.0: "1.047e+12"}[gamma]
     assert main(["verify", large_gain_config(tmp_path, gamma)]) == 0
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert f"chiral symmetry: PASS (residual {residual})" in lines
+    assert f"chiral symmetry: PASS (residual {residual}, entry scale {scale})" in lines
     assert not [line for line in lines if "FAIL" in line] and captured.err == ""
 
 

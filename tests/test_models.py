@@ -16,14 +16,13 @@ from chiralwalk import (
     mko_to_um,
     mko_walk,
     offdiag_block,
-    phase_repair,
     walk,
 )
-from chiralwalk.models import check_phase, coin_profiles
-from chiralwalk.index import rephased_block
-from chiralwalk.profiles import ParameterProfile
+from chiralwalk.models import NORMALIZATION_TOL, check_phase, coin_profiles
+from chiralwalk.index import symbols_from_block
+from chiralwalk.profiles import STARS, ParameterProfile
 
-from conftest import random_mko_params, random_um_params, real_profile
+from conftest import random_fredholm_params, random_mko_params, random_um_params, real_profile
 
 DIAG_PM1 = BandedOperator.multiplication([[1.0, None], [None, -1.0]])
 ZERO2 = BandedOperator(2, {})
@@ -84,7 +83,7 @@ def test_rejects_a_complex_phi_override():
 def test_rejects_a_complex_phase_assignment():
     params = random_um_params(np.random.default_rng(3))
     phase = default_phase(params.q) + 1e-3j
-    for build in (grading_eigenbasis, offdiag_block, phase_repair):
+    for build in (grading_eigenbasis, offdiag_block, symbols_from_block):
         with pytest.raises(InvalidParameters, match="profile phase must be real-valued"):
             build(params, phase)
 
@@ -292,14 +291,23 @@ def test_phase_assignment_validation():
 
 
 # ---------------------------------------------------------------------------
-# phase repair
+# endpoint symbols of the block
 # ---------------------------------------------------------------------------
 
-def test_phase_repair_vanishes_for_interior_p_limits():
+def _symbol_values(syms):
+    """(c, leading, trailing) of every endpoint symbol as a complex array."""
+    return np.array([[s.c, s.leading, s.trailing] for s in syms.values()], dtype=complex)
+
+
+def test_symbols_are_the_block_limits_for_interior_p_limits():
     rng = np.random.default_rng(22)
     params = random_um_params(rng)          # |p| < 0.95 < 1 at both ends
-    plus, minus = phase_repair(params)
-    assert plus.max_abs() == 0.0 and minus.max_abs() == 0.0
+    block = offdiag_block(params)
+    m = params.m
+    for star, sym in symbols_from_block(params).items():
+        assert sym.leading == -2j * block.coefficient(0, 0, m).limit(star)
+        assert sym.trailing == -2j * block.coefficient(0, 0, -m).limit(star)
+        assert -2.0 * sym.c == (-2j * block.coefficient(0, 0, 0).limit(star)).real
 
 
 def _extreme_p_params(sign_right):
@@ -321,22 +329,26 @@ def test_endpoint_angles_default_to_zero_where_the_value_vanishes():
     assert 0.0 <= minus.theta_prime < 2 * math.pi
 
 
-def test_phase_repair_copies_the_phase_on_an_extreme_side():
-    params = _extreme_p_params(+1)
+@pytest.mark.parametrize("sign_right", [+1, -1])
+def test_symbols_ignore_the_phase_on_a_q_zero_side(sign_right):
+    params = _extreme_p_params(sign_right)
     theta = default_phase(params.q)
-    plus, minus = phase_repair(params, theta)
-    for x in (0, 3, 11):
-        assert plus.value(x) == theta.value(x)
-    assert minus.max_abs() == 0.0
+    expected = _symbol_values(symbols_from_block(params))
+    for angle in (0.3, 2.0, 5.9):
+        redrawn = ParameterProfile(theta.left_limit, angle, {0: 1.1, 4: angle + 1.0})
+        values = _symbol_values(symbols_from_block(params, redrawn))
+        # e^{-i angle} (x e^{i angle}) rounds in the last bit; the vanishing
+        # coefficients stay exactly zero
+        assert np.array_equal(values == 0, expected == 0)
+        assert np.max(np.abs(values - expected)) <= 4 * np.finfo(float).eps
 
 
-def test_rephased_block_limits_match_the_closed_forms():
+def test_block_symbols_match_the_closed_forms():
     rng = np.random.default_rng(23)
     cases = [random_um_params(rng), _extreme_p_params(+1), _extreme_p_params(-1)]
     for params in cases:
-        op = rephased_block(params)
-        far = max(prof.support_radius for prof in op.coeff.values()) + abs(params.m) + 3
-        for star, x in (("-inf", -far), ("+inf", far)):
+        syms = symbols_from_block(params)
+        for star in STARS:
             p = params.p.limit(star).real
             a = params.a.limit(star).real
             g = params.gamma.limit(star).real
@@ -345,10 +357,70 @@ def test_rephased_block_limits_match_the_closed_forms():
             theta = np.angle(q) % (2 * np.pi) if q != 0 else 0.0
             lead = (1 + p) * b * np.exp(1j * theta)
             trail = (1 - p) * np.conj(b) * np.exp(-1j * theta)
-            const = 2 * abs(q) * a * math.cosh(2 * g)
-            assert abs(op.coefficient(0, 0, params.m).value(x) - lead) < 1e-12
-            assert abs(op.coefficient(0, 0, -params.m).value(x) + trail) < 1e-12
-            assert abs(op.coefficient(0, 0, 0).value(x) + const) < 1e-12
+            const = abs(q) * a * math.cosh(2 * g)
+            assert abs(syms[star].leading - lead) < 1e-12
+            assert abs(syms[star].trailing + trail) < 1e-12
+            assert abs(syms[star].c - const) < 1e-12
+
+
+def _rephased_block_reference(params, theta):
+    """-2i times the block between multiplications by repair phases, composed with ``@``.
+
+    The left phase copies ``theta`` on each half line whose p-limit is +1 and
+    vanishes elsewhere; the right phase does the same where the p-limit is -1.
+    """
+    def repair(want):
+        take = {star: abs(params.p.limit(star).real - want) <= NORMALIZATION_TOL for star in STARS}
+        return ParameterProfile(
+            theta.left_limit if take["-inf"] else 0.0,
+            theta.right_limit if take["+inf"] else 0.0,
+            {x: v if take["-inf" if x < 0 else "+inf"] else 0.0 for x, v in theta.overrides.items()},
+        )
+
+    left = BandedOperator.multiplication([[repair(+1.0).cis(-1)]])
+    right = BandedOperator.multiplication([[repair(-1.0).cis(+1)]])
+    return left @ offdiag_block(params, theta).scaled(-2.0j) @ right
+
+
+def _tail_params(rng, p_left, p_right):
+    """Random m-step params with the given p-limits; q = 0 on a side where |p| = 1."""
+    m = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    sites = {int(x): rng.uniform(-0.9, 0.9) for x in rng.integers(-4, 5, size=2)}
+    p = ParameterProfile(p_left, p_right, sites)
+    q = ParameterProfile(
+        *(math.sqrt(1 - v * v) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for v in (p_left, p_right)),
+        {x: math.sqrt(1 - v * v) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for x, v in sites.items()},
+    )
+    a = real_profile(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+    b = ParameterProfile(*(math.sqrt(1 - v * v) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                           for v in (a.left_limit.real, a.right_limit.real)))
+    gamma = real_profile(rng.uniform(-1, 1), rng.uniform(-1, 1), {1: rng.uniform(-1, 1)})
+    return ModelParamsUm(m=m, gamma=gamma, p=p, a=a, q=q, b=b)
+
+
+def test_block_symbols_equal_the_rephased_block_limits_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = [(random_fredholm_params(rng), None) for _ in range(10)]
+    for p_left, p_right in [(1.0, 0.3), (-1.0, -0.5), (0.2, 1.0), (0.7, -1.0), (1.0, -1.0),
+                            (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]:
+        for _ in range(2):
+            params = _tail_params(rng, p_left, p_right)
+            theta = default_phase(params.q)
+            redrawn = ParameterProfile(
+                rng.uniform(0, 2 * np.pi) if params.q.left_limit == 0 else theta.left_limit,
+                rng.uniform(0, 2 * np.pi) if params.q.right_limit == 0 else theta.right_limit,
+                {x: theta.value(x) for x in params.q.overrides},
+            )
+            cases += [(params, None), (params, redrawn)]
+    for params, phase in cases:
+        op = _rephased_block_reference(params, default_phase(params.q) if phase is None else phase)
+        m = params.m
+        expected = np.array([
+            [(-op.coefficient(0, 0, 0).limit(star) / 2.0).real,
+             op.coefficient(0, 0, m).limit(star), op.coefficient(0, 0, -m).limit(star)]
+            for star in STARS
+        ], dtype=complex).tobytes()
+        assert _symbol_values(symbols_from_block(params, phase)).tobytes() == expected
 
 
 # ---------------------------------------------------------------------------

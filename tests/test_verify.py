@@ -108,6 +108,35 @@ def test_sparse_residuals_match_dense_products():
         assert abs(equivalence_residual(params, window) - dense) <= 1e-15
 
 
+def test_residuals_take_no_coefficient_level_adjoint(monkeypatch):
+    rng = np.random.default_rng(53)
+    window = 30
+    mko = random_mko_params(rng)
+    cases = []
+    for params in [random_fredholm_params(rng) for _ in range(3)] + [mko]:
+        grading_op, walk_op = build_pair(params)
+        sec_u = walk_op.finite_section(window)
+        g = grading_op.finite_section(window).matrix
+        u_adj = walk_op.adjoint().finite_section(window).matrix
+        chiral = dense_interior_max(sec_u, 2 * grading_op.bandwidth + walk_op.bandwidth,
+                                    u_adj - g @ sec_u.matrix @ g)
+        cases.append((grading_op, walk_op, chiral))
+    um, eta = mko_to_um(mko)
+    sec = mko_walk(mko).finite_section(window)
+    e = eta.finite_section(window).matrix
+    e_adj = eta.adjoint().finite_section(window).matrix
+    equivalence = dense_interior_max(sec, 2 * eta.bandwidth + sec.source_bandwidth,
+                                     e_adj @ sec.matrix @ e - walk(um).finite_section(window).matrix)
+
+    def refuse(self):
+        raise AssertionError("a residual took a coefficient-level adjoint")
+
+    monkeypatch.setattr(BandedOperator, "adjoint", refuse)
+    for grading_op, walk_op, chiral in cases:
+        assert abs(chiral_residual_operators(grading_op, walk_op, window) - chiral) <= 1e-15
+    assert abs(equivalence_residual(mko, window) - equivalence) <= 1e-15
+
+
 def test_residuals_beyond_the_dense_budget():
     window = 5000
     assert window > DENSE_BUDGET
