@@ -243,7 +243,7 @@ def _cmd_plot(args) -> int:
     um = reduce_to_um(params)
     sets = {star: sigma_star(AsymptoticData.from_params(um, star)) for star in STARS}
     overlay = None
-    if args.overlay_window:
+    if args.overlay_window is not None:
         overlay = truncated_spectrum(params, args.overlay_window).eigenvalues
     out = args.out or "spectrum.svg"
     title = (f"{MINUS_INF}: case {sets[MINUS_INF].case_tag}   "

@@ -83,13 +83,6 @@ class BandedOperator:
             return ParameterProfile.constant(0.0)
         return prof
 
-    def sub_block(self, i: int, j: int) -> "BandedOperator":
-        """The (i, j) block as a scalar (block-size 1) operator."""
-        coeff = {
-            (0, 0, y): prof for (bi, bj, y), prof in self.coeff.items() if bi == i and bj == j
-        }
-        return BandedOperator(1, coeff)
-
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "BandedOperator") -> "BandedOperator":
@@ -213,11 +206,6 @@ class FiniteSection:
         """Flat indices of block rows at distance >= margin from the edge."""
         sites = self.block_sites()
         return np.nonzero(np.abs(sites) <= self.window - margin)[0]
-
-    def boundary_row_mask(self) -> np.ndarray:
-        """True for rows flagged boundary-affected (within k of the edge)."""
-        sites = self.block_sites()
-        return np.abs(sites) > self.window - self.source_bandwidth
 
 
 # Function forms of the two operations the benchmark's span tracer times by name

@@ -326,10 +326,6 @@ class EssentialSpectrumResult:
         """Every point of ``z`` lies within 1e-9 of the essential spectrum."""
         return bool(np.all(self.union_distance(np.atleast_1d(z)) <= 1e-9))
 
-    def essentially_gapped(self) -> bool:
-        """Neither -1 nor +1 lies in the essential spectrum."""
-        return not (self.contains(1.0) or self.contains(-1.0))
-
 
 def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> EssentialSpectrumResult:
     """Closed-form endpoint sets plus the sampled symbol-eigenvalue oracle."""

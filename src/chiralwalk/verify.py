@@ -10,8 +10,8 @@ witness factors the banded Hermitian dilation of the off-diagonal block once
 and runs a block inverse iteration that returns the near-kernel singular
 values plus an upper bound on the next one, unless a diagonal-dominance bound
 already shows that there is no near-kernel.  Dense matrices appear only where
-a full spectrum is needed (truncated spectra, bound states, the unitary
-mapping check), and :data:`DENSE_BUDGET` bounds their window.
+a full spectrum is needed (truncated spectra, which also give the bound
+states), and :data:`DENSE_BUDGET` bounds their window.
 
 Walk sections are solved in real arithmetic.  The grading and the coin are
 Hermitian and couple the sites along disjoint paths, so a diagonal phase
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .index import compute_index
+from .index import IndexReport, compute_index
 from .lattice import BandedOperator, FiniteSection
 from .models import (
     InvalidParameters,
@@ -221,27 +221,18 @@ def _gauged_section(op: BandedOperator, window: int) -> FiniteSection:
     return FiniteSection(window, op.block_size, op.bandwidth, matrix)
 
 
-def _section_eigensolve(op: BandedOperator, window: int, hermitian: bool = False):
-    """Eigenvalues of the dense section of ``op`` and their edge-localisation tags.
+def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
+    """All eigenvalues of the dense walk section, tagged by edge localisation.
 
-    A non-Hermitian section goes through :func:`_gauged_section`, so walk
-    sections reach LAPACK's real solver; the eigenvalues are always complex.
+    The section goes through :func:`_gauged_section`, so walk sections reach
+    LAPACK's real solver; the eigenvalues are always complex.
     """
     _check_dense_budget(window)
-    if hermitian:
-        section = op.finite_section(window)
-        values, vectors = np.linalg.eigh(section.matrix)
-    else:
-        section = _gauged_section(op, window)
-        values, vectors = np.linalg.eig(section.matrix)
-        values = values.astype(complex, copy=False)
-    return values, _localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
-
-
-def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
-    """All eigenvalues of the dense walk section, tagged by edge localisation."""
     _, walk_op = build_pair(params)
-    return TruncatedSpectrum(window, *_section_eigensolve(walk_op, window))
+    section = _gauged_section(walk_op, window)
+    values, vectors = np.linalg.eig(section.matrix)
+    tags = _localisation_tags(section, vectors, 2 * max(1, walk_op.bandwidth))
+    return TruncatedSpectrum(window, values.astype(complex, copy=False), tags)
 
 
 @dataclass
@@ -401,21 +392,25 @@ class BoundStateCheck:
         return self.near_plus + self.near_minus
 
 
-def bound_state_check(params: ModelParamsUm, window: int) -> BoundStateCheck:
+def bound_state_check(params: ModelParamsUm, window: int, index_report: IndexReport,
+                      truncated: TruncatedSpectrum) -> BoundStateCheck:
     """Protected-state count for unitary instances.
 
-    Counts interior (non edge-localised) eigenvalues of the truncated walk
-    within ``EIGENVALUE_TOL`` of +1 or -1 and checks the count against |index|.
-    Only defined for unitary instances (vanishing gain); the non-unitary
-    analogue is an open problem and deliberately not asserted.
+    ``index_report`` is ``compute_index(params)`` and ``truncated`` is
+    ``truncated_spectrum(params, window)``, both computed by the caller.
+    Counts interior (non edge-localised) eigenvalues of ``truncated`` within
+    ``EIGENVALUE_TOL`` of +1 or -1 and checks the count against |index|.
+    Only defined for unitary instances (vanishing gain) that are Fredholm;
+    the non-unitary analogue is an open problem and deliberately not asserted.
     """
     if not params.is_unitary_instance():
         raise InvalidParameters("bound-state inequality applies to unitary instances only")
-    report = compute_index(params)
-    if not report.fredholm:
+    if not index_report.fredholm:
         raise VerificationError("bound states", "instance is not Fredholm")
-    nu = abs(report.analytic_index)
-    interior = truncated_spectrum(params, window).interior_eigenvalues()
+    if truncated.window != window:
+        raise ValueError(f"truncated spectrum at window {truncated.window}, not {window}")
+    nu = abs(index_report.analytic_index)
+    interior = truncated.interior_eigenvalues()
     near_plus = int(np.sum(np.abs(interior - 1.0) < EIGENVALUE_TOL))
     near_minus = int(np.sum(np.abs(interior + 1.0) < EIGENVALUE_TOL))
     result = BoundStateCheck(window, nu, near_plus, near_minus)
@@ -425,32 +420,6 @@ def bound_state_check(params: ModelParamsUm, window: int) -> BoundStateCheck:
             f"found {result.count} interior states near +-1, index demands {nu}",
         )
     return result
-
-
-def unitary_mapping_check(params: ModelParamsUm, window: int) -> float:
-    """Consistency of the imaginary-part spectra for unitary instances.
-
-    The essential spectrum of the imaginary part is the image of the walk's
-    essential spectrum under z -> (z - conj(z)) / 2i = Im z.  Returns the
-    largest distance from an interior eigenvalue of the imaginary part's
-    finite section to the mapped sampled cloud.  Discrete eigenvalues of the
-    imaginary part (e.g. kernel modes of instances with non-zero index) are
-    genuine outliers; run this on instances without them.
-    """
-    from .spectrum import essential_spectrum
-
-    if not params.is_unitary_instance():
-        raise InvalidParameters("mapping check applies to unitary instances only")
-    result = essential_spectrum(params)
-    mapped = np.concatenate([result.minus.cloud.imag, result.plus.cloud.imag])
-    _, walk_op = build_pair(params)
-    q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)
-    values, boundary = _section_eigensolve(q_op, window, hermitian=True)
-    interior_values = values[~boundary]
-    if len(interior_values) == 0:
-        return 0.0
-    dist = np.abs(interior_values[:, None] - mapped[None, :]).min(axis=1)
-    return float(dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +505,14 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> Verifica
     else:
         record("kernel witness", True, "skipped: not Fredholm")
 
-    if um.is_unitary_instance():
+    if um.is_unitary_instance() and not index_report.fredholm:
+        record("bound states", True, "skipped: not Fredholm")
+    elif um.is_unitary_instance():
+        # a two-step walk's own section can count other bound states than the
+        # section of its reduction, so only an m-step walk reuses its spectrum
+        truncated = report.truncated if um is params else truncated_spectrum(um, window)
         try:
-            report.bound_states = bound_state_check(um, window)
+            report.bound_states = bound_state_check(um, window, index_report, truncated)
             record("bound states", True,
                    f"{report.bound_states.count} interior states near +-1 "
                    f">= |index| = {report.bound_states.abs_index}")

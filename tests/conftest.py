@@ -39,6 +39,32 @@ def reference_mko_params(gamma: float = 0.4, phi: float = 0.15) -> ModelParamsMk
     )
 
 
+def unitary_mapping_check(params, window: int) -> float:
+    """Consistency of the imaginary-part spectra for unitary instances.
+
+    The essential spectrum of the imaginary part is the image of the walk's
+    essential spectrum under z -> (z - conj(z)) / 2i = Im z.  Returns the
+    largest distance from an interior eigenvalue of the imaginary part's
+    finite section (Hermitian, so solved by ``eigh``) to the mapped sampled
+    cloud.  Discrete eigenvalues of the imaginary part (e.g. kernel modes of
+    instances with non-zero index) are genuine outliers; run this on
+    instances without them.
+    """
+    from chiralwalk import essential_spectrum
+    from chiralwalk.verify import _localisation_tags, build_pair
+
+    result = essential_spectrum(params)
+    mapped = np.concatenate([result.minus.cloud.imag, result.plus.cloud.imag])
+    _, walk_op = build_pair(params)
+    q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)
+    section = q_op.finite_section(window)
+    values, vectors = np.linalg.eigh(section.matrix)
+    interior = values[~_localisation_tags(section, vectors, 2 * max(1, q_op.bandwidth))]
+    if len(interior) == 0:
+        return 0.0
+    return float(np.abs(interior[:, None] - mapped[None, :]).min(axis=1).max())
+
+
 def random_real_profile(rng, lo, hi, sites=2):
     overrides = {int(s): rng.uniform(lo, hi) for s in rng.integers(-4, 5, size=sites)}
     return ParameterProfile(rng.uniform(lo, hi), rng.uniform(lo, hi), overrides)

@@ -24,13 +24,14 @@ from chiralwalk import (
 )
 from chiralwalk.models import coin
 from chiralwalk.profiles import STARS, ParameterProfile
-from chiralwalk.verify import equivalence_residual, unitary_mapping_check
+from chiralwalk.verify import equivalence_residual, truncated_spectrum
 
 from conftest import (
     random_um_params,
     real_profile,
     reference_mko_params,
     reference_params,
+    unitary_mapping_check,
 )
 
 DIAG_PM1 = BandedOperator.multiplication([[1.0, None], [None, -1.0]])
@@ -179,7 +180,8 @@ def test_criterion_7_unitary_cross_checks():
         b=ParameterProfile.constant(0.8j),
     )
     mapping_dist = unitary_mapping_check(constant, 100)
-    bs = bound_state_check(unitary_ref, 300)
+    bs = bound_state_check(unitary_ref, 300, compute_index(unitary_ref),
+                           truncated_spectrum(unitary_ref, 300))
     elapsed = time.perf_counter() - start
     ok = circle_dist < 1e-12 and mapping_dist < 0.02 and bs.count >= bs.abs_index
     report(7, "unitary cross-checks", ok, elapsed,

@@ -1,4 +1,8 @@
 import contextlib
+import functools
+import importlib
+import importlib.util
+import inspect
 import io
 import json
 import math
@@ -229,6 +233,7 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     ["verify", UM1, "--window", "2"],
     ["spectrum", UM1, "--resolution", "10"],
     ["verify", UM1, "--window", "2001"],
+    ["plot", UM1, "--overlay-window", "0"],
 ])
 def test_out_of_range_numbers_exit_1_with_one_line(argv, capsys):
     assert main(argv) == 1
@@ -427,6 +432,22 @@ def test_verify_command_passes_on_every_config_at_large_gain(tmp_path, capsys, n
     assert "FAIL" not in captured.out and captured.err == ""
 
 
+def test_every_benchmark_trace_target_is_a_library_callable(monkeypatch):
+    # perfbench/spans.py patches these names when the benchmark traces a run,
+    # so a library rename or deletion would break `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", CONFIG_DIR.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)      # its dataclass looks itself up
+    spec.loader.exec_module(spans)
+    for module_name, path, _, _ in spans.TARGETS:
+        target = functools.reduce(getattr, path.split("."), importlib.import_module(module_name))
+        assert callable(target), f"{module_name}.{path}"
+    # the dense-eigensolve spans read the window as the second argument
+    for name in ("truncated_spectrum", "bound_state_check"):
+        assert list(inspect.signature(getattr(verify_module, name)).parameters)[1] == "window"
+
+
 def test_cli_import_loads_no_further_scipy_subpackages():
     # every subcommand pays for these imports, and scipy.sparse.csgraph
     # alone would add 45 modules
@@ -449,6 +470,21 @@ def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):
     assert main(["verify", path, "--window", "60"]) == 0
     out = capsys.readouterr().out
     assert "bound states: PASS" in out
+
+
+def test_verify_command_skips_bound_states_of_a_unitary_tie(tmp_path, capsys):
+    doc = um_document()
+    doc["profiles"] = {
+        "gamma": {"left": 0.0, "right": 0.0},
+        "p": {"left": 0.3, "right": 0.3},
+        "a": {"left": 0.3, "right": 0.3},
+        "q": {"left": math.sqrt(0.91), "right": math.sqrt(0.91)},
+        "b": {"left": math.sqrt(0.91), "right": math.sqrt(0.91)},
+    }
+    assert main(["verify", write_config(tmp_path, doc), "--window", "60"]) == 0
+    out = capsys.readouterr().out
+    assert "kernel witness: PASS (skipped: not Fredholm)" in out
+    assert "bound states: PASS (skipped: not Fredholm)" in out
 
 
 def test_spectrum_command_without_gain_reports_arcs_only(tmp_path, capsys):

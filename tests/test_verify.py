@@ -37,13 +37,13 @@ from chiralwalk.models import (
 from chiralwalk.profiles import ParameterProfile
 from chiralwalk.verify import (
     DENSE_BUDGET,
+    EIGENVALUE_TOL,
     KERNEL_THRESHOLD,
     build_pair,
     chiral_residual_operators,
     equivalence_residual,
     involution_residual_operators,
     normalization_residuals,
-    unitary_mapping_check,
 )
 
 from conftest import (
@@ -54,6 +54,7 @@ from conftest import (
     real_profile,
     reference_mko_params,
     reference_params,
+    unitary_mapping_check,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -240,6 +241,12 @@ def test_truncation_budget():
         truncated_spectrum(reference_params(), 2400)
 
 
+def operator_spectrum(monkeypatch, op, window):
+    """:func:`truncated_spectrum` with ``op`` standing in for the walk."""
+    monkeypatch.setattr(verify_module, "build_pair", lambda params: (None, op))
+    return truncated_spectrum(None, window)
+
+
 def assert_eigensolve_matches_the_complex_solve(op, window, values, tags):
     """``values``/``tags`` against complex eig of the ungauged section, optimally matched."""
     section = op.finite_section(window)
@@ -292,13 +299,13 @@ def test_the_phase_gauge_stays_real_to_8_eps_at_the_dense_budget():
         assert np.max(np.abs(gauged.imag)) <= 8 * np.finfo(float).eps * np.max(np.abs(vals))
 
 
-def test_a_section_no_gauge_makes_real_takes_the_complex_solve():
+def test_a_section_no_gauge_makes_real_takes_the_complex_solve(monkeypatch):
     # a diagonal entry is gauge-invariant, so 0.3j stays imaginary
     op = BandedOperator(2, {(0, 0, 0): 0.3j, (0, 1, 0): 0.8, (1, 0, 0): 0.5,
                             (0, 1, 1): 0.6 * np.exp(0.4j), (1, 0, -1): -0.2, (1, 1, 0): 0.1})
     assert verify_module._gauged_section(op, 30).matrix.dtype == np.complex128
-    values, tags = verify_module._section_eigensolve(op, 30)
-    assert_eigensolve_matches_the_complex_solve(op, 30, values, tags)
+    ts = operator_spectrum(monkeypatch, op, 30)
+    assert_eigensolve_matches_the_complex_solve(op, 30, ts.eigenvalues, ts.boundary_affected)
 
 
 @pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko", "twin"])
@@ -308,11 +315,11 @@ def test_truncated_spectrum_eigenvalues_are_complex(name):
     assert truncated_spectrum(params, 40).eigenvalues.dtype == np.complex128
 
 
-def test_an_all_real_spectrum_still_comes_back_complex():
+def test_an_all_real_spectrum_still_comes_back_complex(monkeypatch):
     # a real symmetric tridiagonal section: LAPACK's real solver returns floats
     op = BandedOperator.shift(1) + BandedOperator.shift(-1)
     assert verify_module._gauged_section(op, 20).matrix.dtype == np.float64
-    values, _ = verify_module._section_eigensolve(op, 20)
+    values = operator_spectrum(monkeypatch, op, 20).eigenvalues
     assert values.dtype == np.complex128 and not values.imag.any()
     exact = 2 * np.cos(np.pi * np.arange(1, 42) / 42)
     assert np.max(np.abs(np.sort(values.real) - np.sort(exact))) < 1e-12
@@ -511,7 +518,8 @@ def unitary_wall_params():
 
 
 def test_bound_states_cover_the_index():
-    check = bound_state_check(unitary_wall_params(), 120)
+    params = unitary_wall_params()
+    check = bound_state_check(params, 120, compute_index(params), truncated_spectrum(params, 120))
     assert check.abs_index == 2
     assert check.count >= 2
 
@@ -521,18 +529,20 @@ def test_gapped_plain_walk_has_no_spurious_interior_poles():
                            p=real_profile(0, 0), a=real_profile(0.6, 0.6),
                            q=ParameterProfile.constant(1.0),
                            b=ParameterProfile.constant(0.8))
-    assert compute_index(params).analytic_index == 0
-    check = bound_state_check(params, 120)
-    assert check.count == 0
+    index_report = compute_index(params)
+    assert index_report.analytic_index == 0
     ts = truncated_spectrum(params, 120)
+    check = bound_state_check(params, 120, index_report, ts)
+    assert check.count == 0
     interior = ts.interior_eigenvalues()
     assert np.min(np.abs(interior - 1.0)) > 1e-3
     assert np.min(np.abs(interior + 1.0)) > 1e-3
 
 
 def test_bound_state_check_requires_a_unitary_instance():
+    params = reference_params()
     with pytest.raises(InvalidParameters):
-        bound_state_check(reference_params(), 60)
+        bound_state_check(params, 60, compute_index(params), truncated_spectrum(params, 60))
 
 
 def test_bound_state_check_requires_fredholmness():
@@ -541,13 +551,17 @@ def test_bound_state_check_requires_fredholmness():
                         q=ParameterProfile.constant(math.sqrt(0.91)),
                         b=ParameterProfile.constant(math.sqrt(0.91)))
     with pytest.raises(VerificationError):
-        bound_state_check(tie, 60)
+        bound_state_check(tie, 60, compute_index(tie), truncated_spectrum(tie, 60))
+
+
+def test_bound_state_check_refuses_a_spectrum_at_another_window():
+    params = unitary_wall_params()
+    with pytest.raises(ValueError, match="window 60, not 80"):
+        bound_state_check(params, 80, compute_index(params), truncated_spectrum(params, 60))
 
 
 def test_unitary_mapping_consistency():
     assert unitary_mapping_check(constant_unitary_params(), 100) < 0.02
-    with pytest.raises(InvalidParameters):
-        unitary_mapping_check(reference_params(), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -568,3 +582,43 @@ def test_full_report_includes_bound_states_for_unitary_instances():
     report = run_verification(unitary_wall_params(), 80)
     assert report.passed
     assert report.bound_states is not None and report.bound_states.count >= 2
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record each call of ``owner.name`` while still running it."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verification_solves_an_m_step_walk_section_once(monkeypatch):
+    eig = count_calls(monkeypatch, np.linalg, "eig")
+    index = count_calls(monkeypatch, verify_module, "compute_index")
+    report = run_verification(unitary_wall_params(), 80)
+    assert report.bound_states is not None and report.bound_states.window == 80
+    assert (len(eig), len(index)) == (1, 1)
+
+
+def test_a_unitary_two_step_walk_counts_bound_states_on_its_reduction(monkeypatch):
+    # the 34th seed-3 draw at zero gain: index 2, and at window 80 the two-step
+    # walk's own section has 1 interior state near +-1, its reduction's 2
+    rng = np.random.default_rng(3)
+    for _ in range(34):
+        drawn = random_mko_params(rng)
+    params = ModelParamsMko(gamma=ParameterProfile.constant(0.0), phi=drawn.phi,
+                            theta1=drawn.theta1, theta2=drawn.theta2)
+    interior = truncated_spectrum(reduce_to_um(params), 80).interior_eigenvalues()
+    eig = count_calls(monkeypatch, np.linalg, "eig")
+    index = count_calls(monkeypatch, verify_module, "compute_index")
+    report = run_verification(params, 80)
+    assert (len(eig), len(index)) == (2, 1)
+    assert report.passed, report.checks
+    assert report.bound_states.near_plus == int(np.sum(np.abs(interior - 1.0) < EIGENVALUE_TOL))
+    assert report.bound_states.near_minus == int(np.sum(np.abs(interior + 1.0) < EIGENVALUE_TOL))
+    assert report.bound_states.count >= report.bound_states.abs_index == 2
