@@ -87,13 +87,13 @@ def _load(args):
 
 def _alternative_phase(params, seed: int) -> ParameterProfile | None:
     """Random re-phasing at sites (and tails) where q vanishes, if any."""
-    base = default_phase(params.q)
-    rng = np.random.default_rng(seed)
     free_sites = [x for x, v in params.q.overrides.items() if v == 0]
     left_free = params.q.left_limit == 0
     right_free = params.q.right_limit == 0
     if not (free_sites or left_free or right_free):
         return None
+    base = default_phase(params.q)
+    rng = np.random.default_rng(seed)
     # every override site of q keeps its own phase, also where it equals the
     # default tail phase, before the tails where q vanishes are re-drawn
     overrides = {x: base.value(x) for x in params.q.overrides}
@@ -105,7 +105,10 @@ def _alternative_phase(params, seed: int) -> ParameterProfile | None:
 
 
 def _cmd_index(args) -> int:
-    params = _load(args).build()
+    cfg = _load(args)
+    if args.seed < 0:              # a config's seed is checked when it is parsed
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    params = cfg.build()
     um = reduce_to_um(params)
     if um is not params:
         print("two-step model reduced to the equivalent m = 2 instance")
@@ -190,7 +193,7 @@ def _cmd_spectrum(args) -> int:
     result = essential_spectrum(um, args.resolution)
     for ep in (result.minus, result.plus):
         d = ep.data
-        print(f"endpoint {ep.star}: case {ep.case_tag}, s = {d.s:+d}, "
+        print(f"endpoint {ep.star}: case {ep.spectral_set.case_tag}, s = {d.s:+d}, "
               f"Lambda = [{_decimal(d.lam_minus)}, {_decimal(d.lam_plus)}], "
               f"gamma range = [{_decimal(d.gamma_minus)}, {_decimal(d.gamma_plus)}]")
         print(f"  sampling oracle: Hausdorff {ep.hausdorff:.3e} "

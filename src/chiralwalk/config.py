@@ -73,6 +73,8 @@ def _profile(node, path: str, real: bool) -> ParameterProfile:
         site = entry["site"]
         if not isinstance(site, int) or isinstance(site, bool):
             raise ConfigError(f"{epath}.site: expected an integer")
+        if site in overrides:
+            raise ConfigError(f"{epath}.site: site {site} is listed twice")
         overrides[site] = _scalar(entry["value"], f"{epath}.value", real)
     return ParameterProfile(left, right, overrides)
 
@@ -131,6 +133,8 @@ def parse_model_config(document: dict, source: str = "config") -> ModelConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
             raise ConfigError(
                 f"{source}.options.{name}: expected {'a number' if number else 'an integer'}")
+        if name == "seed" and value < 0:
+            raise ConfigError(f"{source}.options.seed: expected a non-negative integer")
     return ModelConfig(kind=kind, m=m, profiles=profiles, options=dict(options))
 
 

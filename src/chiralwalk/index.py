@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
+    MAX_SAMPLES,
     NORMALIZATION_TOL,
     AsymptoticData,
     ModelParamsUm,
@@ -141,22 +142,14 @@ class EndpointDiagnostics:
     p_gamma: float
     abs_a: float
     margin: float
-    fredholm: bool
     tie: bool
 
 
 def fredholm_margin(asym: AsymptoticData) -> EndpointDiagnostics:
     pg = p_gamma(asym)
     margin = abs(pg) - abs(asym.a)
-    tie = abs(margin) < FREDHOLM_TIE_TOL
-    return EndpointDiagnostics(
-        star=asym.star,
-        p_gamma=pg,
-        abs_a=abs(asym.a),
-        margin=margin,
-        fredholm=not tie,
-        tie=tie,
-    )
+    return EndpointDiagnostics(star=asym.star, p_gamma=pg, abs_a=abs(asym.a), margin=margin,
+                               tie=abs(margin) < FREDHOLM_TIE_TOL)
 
 
 def is_fredholm(minus: AsymptoticData, plus: AsymptoticData):
@@ -167,7 +160,7 @@ def is_fredholm(minus: AsymptoticData, plus: AsymptoticData):
     """
     dm = fredholm_margin(minus)
     dp = fredholm_margin(plus)
-    return dm.fredholm and dp.fredholm, (dm, dp)
+    return not (dm.tie or dp.tie), (dm, dp)
 
 
 def witten_index_analytic(minus: AsymptoticData, plus: AsymptoticData, m: int) -> int:
@@ -227,7 +220,7 @@ def winding_numeric(sym: SymbolFunction) -> int:
     on the final grid bisected once more uniformly.
 
     Refuses with :class:`SymbolNearZeroError` when a sample has |f| <= 1e-8
-    or when a grid would need more than 2^20 samples.
+    or when a grid would need more than ``MAX_SAMPLES`` samples.
     """
     slope = sym.slope_bound()
     k = 64 * (abs(sym.m) + 1)
@@ -273,8 +266,8 @@ def _guard_samples(values: np.ndarray, samples: int) -> None:
 def _midpoint_values(sym: SymbolFunction, t: np.ndarray, idx: np.ndarray):
     """Midpoints of the grid intervals ``idx`` and the symbol's values there."""
     samples = len(t) - 1 + len(idx)
-    if samples > 1 << 20:
-        raise SymbolNearZeroError(f"certifying the winding needs more than {1 << 20} samples")
+    if samples > MAX_SAMPLES:
+        raise SymbolNearZeroError(f"certifying the winding needs more than {MAX_SAMPLES} samples")
     mid = 0.5 * (t[idx] + t[idx + 1])
     values = sym.evaluate(np.exp(1j * mid))
     _guard_samples(values, samples)
@@ -295,7 +288,6 @@ class IndexReport:
     """Fredholm flag, the index by all routes, and endpoint diagnostics."""
 
     fredholm: bool
-    m: int
     analytic_index: int | None
     wn_minus: int | None
     wn_plus: int | None
@@ -316,7 +308,7 @@ def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None) 
     ok, diagnostics = is_fredholm(minus, plus)
     if not ok:
         return IndexReport(
-            fredholm=False, m=params.m, analytic_index=None,
+            fredholm=False, analytic_index=None,
             wn_minus=None, wn_plus=None, wn_minus_num=None, wn_plus_num=None,
             endpoints=diagnostics,
         )
@@ -334,7 +326,7 @@ def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None) 
     if len(set(routes.values())) != 1:
         raise IndexDisagreementError(f"index routes disagree: {routes}")
     return IndexReport(
-        fredholm=True, m=params.m, analytic_index=analytic,
+        fredholm=True, analytic_index=analytic,
         wn_minus=wn_minus, wn_plus=wn_plus,
         wn_minus_num=wn_minus_num, wn_plus_num=wn_plus_num,
         endpoints=diagnostics,

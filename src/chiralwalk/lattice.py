@@ -53,7 +53,7 @@ class BandedOperator:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def identity(cls, block_size: int = 1) -> "BandedOperator":
+    def identity(cls, block_size: int) -> "BandedOperator":
         return cls(block_size, {(i, i, 0): 1.0 for i in range(block_size)})
 
     @classmethod
@@ -193,10 +193,6 @@ class FiniteSection:
     block_size: int
     source_bandwidth: int
     matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.block_size * (2 * self.window + 1)
 
     def block_sites(self) -> np.ndarray:
         """Lattice site of each flat row index."""

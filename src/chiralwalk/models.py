@@ -28,6 +28,10 @@ NORMALIZATION_TOL = 1e-12
 # Largest |gamma| for which the coin's gains exp(+-2 gamma) (and the cosh(2 gamma)
 # of the endpoint formulas) are finite floats.
 GAMMA_LIMIT = 0.5 * math.log(sys.float_info.max)
+# Most circle samples of the numeric winding's grids and of the spectrum oracle;
+# the winding starts from 64 (|m| + 1) samples, so no larger step is certified.
+MAX_SAMPLES = 1 << 20
+M_LIMIT = MAX_SAMPLES // 64 - 1
 _TWO_PI = 2.0 * math.pi
 
 
@@ -92,6 +96,9 @@ class ModelParamsUm:
         if int(self.m) == 0:
             raise InvalidParameters("step size m must be a non-zero integer")
         object.__setattr__(self, "m", int(self.m))
+        if abs(self.m) > M_LIMIT:
+            raise ValueError(
+                f"m = {self.m} out of range: the numeric winding certifies |m| <= {M_LIMIT}")
         for name in ("gamma", "p", "a"):
             _require_real(getattr(self, name), name)
         _check_gain(self.gamma)

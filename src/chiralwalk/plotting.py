@@ -37,8 +37,11 @@ def _arc_pieces(arc):
     return [np.exp(1j * t), np.exp(-1j * t)]
 
 
-def render_spectral_svg(endpoint_sets: dict, overlay=None, title: str | None = None) -> str:
-    """Serialise the figure; ``endpoint_sets`` maps endpoint tag -> SpectralSet."""
+def render_spectral_svg(endpoint_sets: dict, overlay, title: str) -> str:
+    """Serialise the figure; ``endpoint_sets`` maps endpoint tag -> SpectralSet.
+
+    ``overlay`` holds the eigenvalues to draw as points, or is None.
+    """
     half_width = 1.8
     for sset in endpoint_sets.values():
         for lo, hi in sset.segments:
@@ -92,7 +95,7 @@ def render_spectral_svg(endpoint_sets: dict, overlay=None, title: str | None = N
     return ET.tostring(svg, encoding="unicode", xml_declaration=True)
 
 
-def write_spectral_svg(path: str, endpoint_sets: dict, overlay=None, title: str | None = None):
+def write_spectral_svg(path: str, endpoint_sets: dict, overlay, title: str):
     document = render_spectral_svg(endpoint_sets, overlay, title)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(document)

@@ -140,7 +140,7 @@ class ParameterProfile:
         """Apply a real function to the real parts of the values."""
         return self.apply(lambda v: fn(v.real))
 
-    def cis(self, sign: int = 1) -> "ParameterProfile":
+    def cis(self, sign: int) -> "ParameterProfile":
         """exp(i * sign * value) for a real-valued profile."""
         return self.apply(lambda v: cmath.exp(1j * sign * v.real))
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .index import sgn
-from .models import AsymptoticData, ModelParamsUm
+from .models import MAX_SAMPLES, AsymptoticData, ModelParamsUm
 from .profiles import MINUS_INF, PLUS_INF, STARS
 
 CASE_I = "I"
@@ -56,7 +56,6 @@ def g_map(x: float) -> float:
 class EndpointSpectrumData:
     """Scalar data controlling the endpoint spectrum classification."""
 
-    star: str
     s: int
     lam_minus: float
     lam_plus: float
@@ -77,7 +76,6 @@ class EndpointSpectrumData:
             g_minus = 0.5 * math.acosh(max(1.0, (1.0 - qb) / pa))
             g_plus = 0.5 * math.acosh(max(1.0, (1.0 + qb) / pa))
         return cls(
-            star=asym.star,
             s=sgn(asym.p * asym.a),
             lam_minus=max(lam_minus, -1.0),
             lam_plus=lam_plus,
@@ -211,25 +209,23 @@ class SpectralSet:
 
 
 def sigma_star(asym: AsymptoticData) -> SpectralSet:
-    """Closed-form endpoint set per the Case I/II/III, sign = +-1 table."""
+    """Closed-form endpoint set per the Case I/II/III table of the sign s = +1 sets."""
     data = EndpointSpectrumData.from_asymptotics(asym)
     case = classify_case(data, asym.gamma)
-    s = data.s
     lm, lp = data.lam_minus, data.lam_plus
     if case == CASE_I:
-        lo, hi = max(-1.0, lm), min(1.0, lp)
-        arcs = ((lo, hi),) if s == 1 else ((-hi, -lo),)
-        return SpectralSet(arcs, (), CASE_I, s)
-    if case == CASE_II:
+        arcs, segments = ((max(-1.0, lm), min(1.0, lp)),), ()
+    elif case == CASE_II:
         gp = g_map(max(1.0, lp))
-        if s == 1:
-            return SpectralSet(((max(-1.0, lm), 1.0),), ((1.0 / gp, gp),), CASE_II, s)
-        return SpectralSet(((-1.0, -max(-1.0, lm)),), ((-gp, -1.0 / gp),), CASE_II, s)
-    gm = g_map(max(1.0, lm))
-    gp = g_map(max(1.0, lp))
-    if s == 1:
-        return SpectralSet((), ((1.0 / gp, 1.0 / gm), (gm, gp)), CASE_III, s)
-    return SpectralSet((), ((-gp, -gm), (-1.0 / gm, -1.0 / gp)), CASE_III, s)
+        arcs, segments = ((max(-1.0, lm), 1.0),), ((1.0 / gp, gp),)
+    else:
+        gm = g_map(max(1.0, lm))
+        gp = g_map(max(1.0, lp))
+        arcs, segments = (), ((1.0 / gp, 1.0 / gm), (gm, gp))
+    if data.s == -1:            # the s = +1 set reflected through 0
+        arcs = tuple((-v, -u) for u, v in reversed(arcs))
+        segments = tuple((-v, -u) for u, v in reversed(segments))
+    return SpectralSet(arcs, segments, case, data.s)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +264,6 @@ def symbol_eigenvalues(asym: AsymptoticData, z, m: int) -> np.ndarray:
     return np.sort_complex(np.stack([big, 1.0 / big], axis=-1))
 
 
-def _sample_cloud(asym: AsymptoticData, m: int, resolution: int) -> np.ndarray:
-    t = 2.0 * np.pi * np.arange(resolution) / resolution
-    eigs = symbol_eigenvalues(asym, np.exp(1j * t), m)
-    return eigs.ravel()
-
-
 def hausdorff_tolerance(data: EndpointSpectrumData, m: int, resolution: int) -> float:
     """Sampling tolerance from the derivative bound of the symbol trace.
 
@@ -292,7 +282,6 @@ def hausdorff_tolerance(data: EndpointSpectrumData, m: int, resolution: int) -> 
 class EndpointEssentialSpectrum:
     star: str
     data: EndpointSpectrumData
-    case_tag: str
     spectral_set: SpectralSet
     cloud: np.ndarray
     cloud_to_set: float
@@ -313,30 +302,20 @@ class EssentialSpectrumResult:
     minus: EndpointEssentialSpectrum
     plus: EndpointEssentialSpectrum
 
-    def endpoint(self, star: str) -> EndpointEssentialSpectrum:
-        return self.minus if star == MINUS_INF else self.plus
 
-    def union_distance(self, points) -> np.ndarray:
-        return np.minimum(
-            self.minus.spectral_set.distance(points),
-            self.plus.spectral_set.distance(points),
-        )
-
-    def contains(self, z) -> bool:
-        """Every point of ``z`` lies within 1e-9 of the essential spectrum."""
-        return bool(np.all(self.union_distance(np.atleast_1d(z)) <= 1e-9))
-
-
-def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> EssentialSpectrumResult:
-    """Closed-form endpoint sets plus the sampled symbol-eigenvalue oracle."""
+def essential_spectrum(params: ModelParamsUm, resolution: int) -> EssentialSpectrumResult:
+    """Closed-form endpoint sets plus the oracle's eigenvalues at ``resolution`` circle samples."""
     if resolution < 256:
         raise ValueError("resolution must be at least 256")
+    if resolution > MAX_SAMPLES:
+        raise ValueError(f"resolution must be at most {MAX_SAMPLES}")
+    t = 2.0 * np.pi * np.arange(resolution) / resolution
     reports = {}
     for star in STARS:
         asym = AsymptoticData.from_params(params, star)
         data = EndpointSpectrumData.from_asymptotics(asym)
         sset = sigma_star(asym)
-        cloud = _sample_cloud(asym, params.m, resolution)
+        cloud = symbol_eigenvalues(asym, np.exp(1j * t), params.m).ravel()
         cloud_to_set = float(np.max(sset.distance(cloud)))
         set_pts = sset.sample(2 * resolution)
         tree = cKDTree(np.column_stack([cloud.real, cloud.imag]))
@@ -344,7 +323,6 @@ def essential_spectrum(params: ModelParamsUm, resolution: int = 2048) -> Essenti
         reports[star] = EndpointEssentialSpectrum(
             star=star,
             data=data,
-            case_tag=sset.case_tag,
             spectral_set=sset,
             cloud=cloud,
             cloud_to_set=cloud_to_set,

@@ -62,7 +62,6 @@ from .models import (
 )
 
 DENSE_BUDGET = 2000
-RESIDUAL_TOL = 1e-10
 KERNEL_THRESHOLD = 1e-6
 EIGENVALUE_TOL = 1e-6
 WITNESS_SHIFT = 1e-2
@@ -71,9 +70,7 @@ MAX_WITNESS_ITERATIONS = 500
 
 
 class VerificationError(RuntimeError):
-    def __init__(self, check: str, message: str):
-        super().__init__(f"{check}: {message}")
-        self.check = check
+    """A finite-section check failed; the message starts with the check's name."""
 
 
 def build_pair(params):
@@ -122,14 +119,6 @@ def equivalence_residual(params: ModelParamsMko, window: int) -> float:
     conjugated = s_eta.conj().T.tocsr() @ sec @ s_eta
     reduced = walk(um).sparse_section(window)
     return _interior_max(conjugated - reduced, window, walk_mko.block_size, margin)
-
-
-def normalization_residuals(params: ModelParamsUm) -> dict:
-    """Worst deviation of the two coin/grading normalization constraints."""
-    return {
-        "p^2+|q|^2": normalization_residual(params.p, params.q),
-        "a^2+|b|^2": normalization_residual(params.a, params.b),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +236,6 @@ class KernelWitness:
         """Number of singular values below ``KERNEL_THRESHOLD``."""
         return int(np.sum(self.singular_values < KERNEL_THRESHOLD))
 
-    @property
-    def smallest(self) -> float:
-        return float(self.singular_values[0])
-
 
 def _dilation_band(a, bandwidth: int) -> np.ndarray:
     """LAPACK general band storage (for ``zgbtrf``) of H - ``WITNESS_SHIFT`` I.
@@ -325,14 +310,14 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
     u = 2 * bandwidth + 1
     lu, pivots, info = zgbtrf(_dilation_band(a, bandwidth), u, u, overwrite_ab=1)
     if info != 0:
-        raise VerificationError("kernel witness", f"dilation singular at shift {WITNESS_SHIFT}")
+        raise VerificationError(f"kernel witness: dilation singular at shift {WITNESS_SHIFT}")
     a_adj = a.conj().T.tocsr()
     rng = np.random.default_rng(0)
     block = rng.standard_normal((2 * size, 4 * bandwidth + 4))
     for _ in range(MAX_WITNESS_ITERATIONS):
         if block.shape[1] >= size:
             raise VerificationError(
-                "kernel witness", f"block of {block.shape[1]} reached the section size {size}")
+                f"kernel witness: block of {block.shape[1]} reached the section size {size}")
         block = zgbtrs(lu, u, u, np.asfortranarray(block, dtype=complex), pivots, overwrite_b=1)[0]
         left = np.linalg.qr(block[0::2])[0]
         right = np.linalg.qr(block[1::2])[0]
@@ -359,7 +344,7 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
             bound = np.linalg.svd(image[:, ~near], compute_uv=False)[-1]
             return np.append(values[near][::-1], bound)
     raise VerificationError(
-        "kernel witness", f"no convergence in {MAX_WITNESS_ITERATIONS} block iterations")
+        f"kernel witness: no convergence in {MAX_WITNESS_ITERATIONS} block iterations")
 
 
 def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
@@ -406,7 +391,7 @@ def bound_state_check(params: ModelParamsUm, window: int, index_report: IndexRep
     if not params.is_unitary_instance():
         raise InvalidParameters("bound-state inequality applies to unitary instances only")
     if not index_report.fredholm:
-        raise VerificationError("bound states", "instance is not Fredholm")
+        raise VerificationError("bound states: instance is not Fredholm")
     if truncated.window != window:
         raise ValueError(f"truncated spectrum at window {truncated.window}, not {window}")
     nu = abs(index_report.analytic_index)
@@ -416,9 +401,7 @@ def bound_state_check(params: ModelParamsUm, window: int, index_report: IndexRep
     result = BoundStateCheck(window, nu, near_plus, near_minus)
     if result.count < nu:
         raise VerificationError(
-            "bound states",
-            f"found {result.count} interior states near +-1, index demands {nu}",
-        )
+            f"bound states: found {result.count} interior states near +-1, index demands {nu}")
     return result
 
 
@@ -444,7 +427,7 @@ class VerificationReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> VerificationReport:
+def run_verification(params, window: int, tol: float) -> VerificationReport:
     """Full residual/witness suite for one parameter set."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance {tol} must be finite and > 0")
@@ -456,7 +439,10 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> Verifica
     _check_dense_budget(window)
     um = reduce_to_um(params)
 
-    report.normalization = normalization_residuals(um)
+    report.normalization = {
+        "p^2+|q|^2": normalization_residual(um.p, um.q),
+        "a^2+|b|^2": normalization_residual(um.a, um.b),
+    }
     for label, value in report.normalization.items():
         record(f"normalization {label}", value < 1e-10, f"residual {value:.3e}")
 
@@ -487,7 +473,8 @@ def run_verification(params, window: int, tol: float = RESIDUAL_TOL) -> Verifica
     if index_report.fredholm:
         nu = abs(index_report.analytic_index)
         # Witness windows must dominate the interface localisation length,
-        # which grows with |m|; enlarge within the dense budget if short.
+        # which grows with |m|; if the count is short the window doubles
+        # once, up to 600.
         witness_window = max(window, 8 * abs(um.m), 300)
         try:
             while True:

@@ -53,7 +53,7 @@ def unitary_mapping_check(params, window: int) -> float:
     from chiralwalk import essential_spectrum
     from chiralwalk.verify import _localisation_tags, build_pair
 
-    result = essential_spectrum(params)
+    result = essential_spectrum(params, 2048)
     mapped = np.concatenate([result.minus.cloud.imag, result.plus.cloud.imag])
     _, walk_op = build_pair(params)
     q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)

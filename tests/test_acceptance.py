@@ -48,14 +48,14 @@ def test_criterion_1_reference_reproduction():
     params = reference_params(m=1)
     ok = True
     detail = []
-    for star in STARS:
+    result = essential_spectrum(params, 256)
+    for star, ep in zip(STARS, (result.minus, result.plus)):
         asym = AsymptoticData.from_params(params, star)
         data = EndpointSpectrumData.from_asymptotics(asym)
         ok &= abs(data.gamma_minus - 0.350396) < 1e-5
         ok &= abs(data.gamma_plus - 2.64283) < 1e-5
         ok &= abs(abs(p_gamma(asym)) - 0.150876) < 1e-5
-        result = essential_spectrum(params, 256)
-        ok &= result.endpoint(star).case_tag == "II"
+        ok &= ep.star == star and ep.spectral_set.case_tag == "II"
     for m in (1, 2, 3):
         index = compute_index(reference_params(m=m)).analytic_index
         ok &= index == 2 * m
@@ -117,11 +117,10 @@ def test_criterion_4_spectrum_oracle(fredholm_corpus):
     bad_case = 0
     for params in fredholm_corpus:
         result = essential_spectrum(params, 2048)
-        for star in STARS:
-            ep = result.endpoint(star)
+        for ep in (result.minus, result.plus):
             if ep.hausdorff > ep.tolerance:
                 bad_hausdorff += 1
-            if ep.case_tag != _independent_case_tag(params, star, params.m):
+            if ep.spectral_set.case_tag != _independent_case_tag(params, ep.star, params.m):
                 bad_case += 1
     elapsed = time.perf_counter() - start
     ok = bad_hausdorff == 0 and bad_case == 0 and elapsed < 120.0
@@ -156,7 +155,7 @@ def test_criterion_6_gapless_yet_fredholm():
     start = time.perf_counter()
     params = reference_params(m=1)
     result = essential_spectrum(params, 512)
-    contains_one = result.contains(1.0)
+    contains_one = any(ep.spectral_set.contains(1.0) for ep in (result.minus, result.plus))
     rep = compute_index(params)
     fredholm_nonzero = rep.fredholm and rep.analytic_index != 0
     elapsed = time.perf_counter() - start
@@ -170,8 +169,7 @@ def test_criterion_7_unitary_cross_checks():
     unitary_ref = reference_params(m=1, gamma=0.0)
     result = essential_spectrum(unitary_ref, 2048)
     circle_dist = max(
-        float(np.max(np.abs(np.abs(result.endpoint(star).cloud) - 1.0)))
-        for star in STARS
+        float(np.max(np.abs(np.abs(ep.cloud) - 1.0))) for ep in (result.minus, result.plus)
     )
     constant = ModelParamsUm(
         m=1, gamma=real_profile(0.0, 0.0), p=real_profile(0.35, 0.35),

@@ -90,6 +90,24 @@ def test_override_entries_are_checked(tmp_path):
         load_model_config(write_config(tmp_path, doc))
 
 
+def duplicate_site_document():
+    # site -5 listed twice in a (0.3, then 0.2), with b normalised to match
+    doc = um_document()
+    for name, values in (("a", (0.3, 0.2)), ("b", (math.sqrt(0.91), math.sqrt(0.96)))):
+        doc["profiles"][name]["overrides"] = [{"site": -5, "value": v} for v in values]
+    return doc
+
+
+def test_duplicate_override_sites_are_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"profiles\.a\.overrides\[1\]\.site: site -5 is listed twice"):
+        load_model_config(write_config(tmp_path, duplicate_site_document()))
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"options\.seed: expected a non-negative integer"):
+        load_model_config(write_config(tmp_path, um_document(options={"seed": -3})))
+
+
 def test_unknown_option_and_zero_step(tmp_path):
     with pytest.raises(ConfigError, match=r"options\.speed"):
         load_model_config(write_config(tmp_path, um_document(options={"speed": 9})))
@@ -264,6 +282,36 @@ def test_bad_options_and_tolerances_exit_1_with_one_line(tmp_path, capsys, comma
     assert main([command, path, *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("command, document, flags, named", [
+    ("spectrum", um_document(options={"resolution": 10 ** 30}), [],
+     f"resolution must be at most {1 << 20}"),
+    ("index", um_document(options={"seed": -3}), [], "options.seed: expected a non-negative"),
+    ("index", um_document(), ["--seed", "-1"], "--seed must be non-negative"),
+    ("index", um_document(m=16384), [], "m = 16384 out of range"),
+    ("verify", um_document(m=16384), [], "m = 16384 out of range"),
+    ("index", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
+    ("spectrum", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
+    ("verify", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
+    ("plot", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
+])
+def test_inputs_beyond_the_limits_exit_1_before_any_output(tmp_path, capsys, monkeypatch, command,
+                                                          document, flags, named):
+    monkeypatch.chdir(tmp_path)          # where plot would write spectrum.svg
+    assert main([command, write_config(tmp_path, document), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+
+
+def test_resolution_above_the_sample_cap_is_refused_before_sampling(capsys, monkeypatch):
+    def sample(*args):
+        raise AssertionError("the oracle sampled the symbol")
+    monkeypatch.setattr(spectrum_module, "symbol_eigenvalues", sample)
+    assert main(["spectrum", UM1, "--resolution", str(2 ** 20 + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: resolution must be at most {2 ** 20}\n"
 
 
 def test_the_benchmark_options_stay_valid(tmp_path):

@@ -18,7 +18,8 @@ from chiralwalk import (
     offdiag_block,
     walk,
 )
-from chiralwalk.models import NORMALIZATION_TOL, check_phase, coin_profiles
+from chiralwalk.models import (M_LIMIT, MAX_SAMPLES, NORMALIZATION_TOL, check_phase,
+                               coin_profiles)
 from chiralwalk.index import symbols_from_block
 from chiralwalk.profiles import STARS, ParameterProfile
 
@@ -30,7 +31,7 @@ ZERO2 = BandedOperator(2, {})
 
 def interior_unitarity_residual(op, window):
     sec = op.finite_section(window)
-    diff = sec.matrix.conj().T @ sec.matrix - np.eye(sec.size)
+    diff = sec.matrix.conj().T @ sec.matrix - np.eye(len(sec.matrix))
     rows = sec.rows_within(2 * op.bandwidth)
     return np.max(np.abs(diff[np.ix_(rows, rows)]))
 
@@ -44,6 +45,25 @@ def test_rejects_zero_step():
         ModelParamsUm(m=0, gamma=real_profile(0, 0), p=real_profile(0, 0),
                       a=real_profile(0, 0), q=ParameterProfile.constant(1.0),
                       b=ParameterProfile.constant(1.0))
+
+
+@pytest.mark.parametrize("m", [M_LIMIT + 1, -(M_LIMIT + 1), 10 ** 12, 10 ** 30])
+def test_rejects_a_step_beyond_the_winding_sample_cap(m):
+    # a range error like an overflowing gain, not a model constraint that
+    # verify would report as a normalization FAIL
+    with pytest.raises(ValueError, match=f"m = {m} out of range") as info:
+        ModelParamsUm(m=m, gamma=real_profile(0.4, 0.4), p=real_profile(-0.2, 0.2),
+                      a=real_profile(-0.1, 0.1), q=ParameterProfile.constant(math.sqrt(0.96)),
+                      b=ParameterProfile.constant(math.sqrt(0.99)))
+    assert not isinstance(info.value, InvalidParameters)
+
+
+def test_the_step_limit_fits_the_winding_grid():
+    # winding_numeric starts from 64 (|m| + 1) samples
+    assert M_LIMIT == 16383 and 64 * (M_LIMIT + 1) == MAX_SAMPLES == 1 << 20
+    assert ModelParamsUm(m=-M_LIMIT, gamma=real_profile(0, 0), p=real_profile(0, 0),
+                         a=real_profile(0, 0), q=ParameterProfile.constant(1.0),
+                         b=ParameterProfile.constant(1.0)).m == -M_LIMIT
 
 
 def test_rejects_broken_normalization():
@@ -115,7 +135,7 @@ def test_grading_square_dense_oracle():
     g = grading(params)
     sec = g.finite_section(20)
     rows = sec.rows_within(2 * g.bandwidth)
-    diff = sec.matrix @ sec.matrix - np.eye(sec.size)
+    diff = sec.matrix @ sec.matrix - np.eye(len(sec.matrix))
     assert np.max(np.abs(diff[rows])) < 1e-12
     assert np.max(np.abs(sec.matrix - sec.matrix.conj().T)) < 1e-12
 

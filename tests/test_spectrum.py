@@ -15,6 +15,7 @@ from chiralwalk import (
     symbol_eigenvalues,
     symbol_matrix,
 )
+from chiralwalk.models import MAX_SAMPLES
 from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 from chiralwalk.spectrum import SpectralSet
 
@@ -101,7 +102,7 @@ def test_degenerate_boundary_warns_once_per_endpoint():
         warnings.simplefilter("always")
         result = essential_spectrum(params, 256)
     assert len(caught) == 2
-    assert result.minus.case_tag == result.plus.case_tag == "I"
+    assert result.minus.spectral_set.case_tag == result.plus.spectral_set.case_tag == "I"
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,36 @@ def test_mirrored_sign_gives_the_mirrored_set():
     assert arc_m == (-arc_p[1], -arc_p[0])
     assert seg_m == (-seg_p[1], -seg_p[0])
     assert minus.contains(-1.0)
+
+
+def _hex_pieces(pieces):
+    return [(u.hex(), v.hex()) for u, v in pieces]
+
+
+def test_flipping_the_sign_of_a_reflects_the_set_exactly():
+    # with pa != 0, a -> -a flips s = sgn(pa) and keeps |pa|, qb and gamma, so
+    # the set must be the exact reflection through 0: (u, v) -> (-v, -u), the
+    # piece order reversed, signed zeros included
+    rng = np.random.default_rng(61)
+    seen = set()
+    for k in range(3000):
+        p, a = rng.uniform(-1.0, 1.0, size=2)
+        if k % 4 == 1:
+            p = float(rng.choice([-1.0, 1.0]))
+        elif k % 4 == 2:
+            a = float(rng.choice([-1.0, 1.0]))
+        if p * a == 0.0:
+            continue
+        gamma = rng.uniform(-3.0, 3.0)
+        q = math.sqrt(1.0 - p * p) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        b = math.sqrt(1.0 - a * a) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        base, flipped = (sigma_star(AsymptoticData(PLUS_INF, p, sa, gamma, q, b, 0.0, 0.0))
+                         for sa in (a, -a))
+        assert (flipped.case_tag, flipped.sign_tag) == (base.case_tag, -base.sign_tag)
+        for mine, theirs in ((flipped.arcs, base.arcs), (flipped.segments, base.segments)):
+            assert _hex_pieces(mine) == _hex_pieces((-v, -u) for u, v in reversed(theirs))
+        seen.add((base.case_tag, base.sign_tag))
+    assert seen == {(case, sign) for case in ("I", "II", "III") for sign in (1, -1)}
 
 
 def test_plain_coin_walk_set_is_a_symmetric_arc_pair():
@@ -337,10 +368,10 @@ def test_large_gain_symbol_eigenvalues_stay_reciprocal_on_the_sets(gamma):
 def test_reference_essential_spectrum_oracle_agreement():
     result = essential_spectrum(reference_params(), 2048)
     for ep in (result.minus, result.plus):
-        assert ep.case_tag == "II"
+        assert ep.spectral_set.case_tag == "II"
         assert ep.cloud_to_set < 1e-9
         assert ep.hausdorff <= ep.tolerance
-    assert result.contains(1.0)
+    assert any(ep.spectral_set.contains(1.0) for ep in (result.minus, result.plus))
 
 
 def test_unitary_cloud_lies_on_the_circle():
@@ -357,11 +388,10 @@ def test_opposite_signs_touch_opposite_poles():
                            q=ParameterProfile.constant(math.sqrt(0.91)),
                            b=ParameterProfile.constant(math.sqrt(0.75)))
     result = essential_spectrum(params, 512)
-    assert result.minus.case_tag == "II" and result.minus.data.s == 1
-    assert result.plus.case_tag == "II" and result.plus.data.s == -1
+    assert result.minus.spectral_set.case_tag == "II" and result.minus.data.s == 1
+    assert result.plus.spectral_set.case_tag == "II" and result.plus.data.s == -1
     assert result.minus.spectral_set.contains(1.0)
     assert result.plus.spectral_set.contains(-1.0)
-    assert result.contains(1.0) and result.contains(-1.0)
 
 
 def test_case_tags_describe_the_cloud():
@@ -372,9 +402,9 @@ def test_case_tags_describe_the_cloud():
         for ep in (result.minus, result.plus):
             on_circle = np.abs(np.abs(ep.cloud) - 1.0) < 1e-7
             on_axis = np.abs(ep.cloud.imag) < 1e-7
-            if ep.case_tag == "I":
+            if ep.spectral_set.case_tag == "I":
                 assert on_circle.all()
-            elif ep.case_tag == "III":
+            elif ep.spectral_set.case_tag == "III":
                 assert on_axis.all()
             else:
                 assert on_circle.any() and (~on_circle & on_axis).any()
@@ -388,3 +418,8 @@ def test_case_tags_describe_the_cloud():
 def test_resolution_floor():
     with pytest.raises(ValueError):
         essential_spectrum(reference_params(), 128)
+
+
+def test_resolution_ceiling_is_the_sample_cap():
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+        essential_spectrum(reference_params(), MAX_SAMPLES + 1)

@@ -23,13 +23,14 @@ from chiralwalk import (
     truncated_spectrum,
 )
 from chiralwalk.cli import main
-from chiralwalk.config import load_model_config
+from chiralwalk.config import DEFAULT_OPTIONS, load_model_config
 from chiralwalk.lattice import BandedOperator
 from chiralwalk.models import (
     coin_from_profiles,
     grading_from_profiles,
     mko_to_um,
     mko_walk,
+    normalization_residual,
     offdiag_block,
     reduce_to_um,
     walk,
@@ -43,7 +44,6 @@ from chiralwalk.verify import (
     chiral_residual_operators,
     equivalence_residual,
     involution_residual_operators,
-    normalization_residuals,
 )
 
 from conftest import (
@@ -58,6 +58,7 @@ from conftest import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TOL = DEFAULT_OPTIONS["tol"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_sparse_residuals_match_dense_products():
         assert abs(chiral_residual_operators(grading_op, walk_op, window) - dense) <= 1e-15
         sec_g = grading_op.finite_section(window)
         dense = dense_interior_max(sec_g, 2 * grading_op.bandwidth,
-                                   g @ g - np.eye(sec_g.size))
+                                   g @ g - np.eye(len(g)))
         assert abs(involution_residual_operators(grading_op, window) - dense) <= 1e-15
     for _ in range(10):
         params = random_mko_params(rng)
@@ -187,7 +188,7 @@ def test_two_step_residuals_are_compared_on_the_walk_entry_scale():
     # at gamma = 12 the absolute chiral and equivalence residuals are ~1e-7,
     # pure roundoff on walk entries of size ~exp(24)
     params = reference_mko_params(gamma=12.0)
-    report = run_verification(params, 60)
+    report = run_verification(params, 60, TOL)
     checks = {name: ok for name, ok, _ in report.checks}
     assert checks["chiral symmetry"] and checks["two-step reduction"]
     assert report.equivalence_residual > 1e-10
@@ -200,8 +201,9 @@ def test_chiral_residual_window_floor():
 
 
 def test_normalization_residuals_are_tiny_for_valid_parameters():
-    values = normalization_residuals(reference_params())
-    assert all(v < 1e-14 for v in values.values())
+    params = reference_params()
+    values = (normalization_residual(params.p, params.q), normalization_residual(params.a, params.b))
+    assert all(v < 1e-14 for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +217,19 @@ def constant_unitary_params():
                          b=ParameterProfile.constant(0.8j))
 
 
+def union_distance(result, points):
+    """Distance from each point to the union of the two endpoint sets."""
+    return np.minimum(result.minus.spectral_set.distance(points),
+                      result.plus.spectral_set.distance(points))
+
+
 def test_unitary_truncation_spectrum_stays_in_the_disk():
     params = constant_unitary_params()
     ts = truncated_spectrum(params, 200)
     assert np.max(np.abs(ts.eigenvalues)) <= 1.0 + 1e-8
     result = essential_spectrum(params, 1024)
     interior = ts.interior_eigenvalues()
-    assert np.max(result.union_distance(interior)) < 0.02
+    assert np.max(union_distance(result, interior)) < 0.02
 
 
 def test_reference_truncation_clusters_on_the_essential_spectrum():
@@ -229,7 +237,7 @@ def test_reference_truncation_clusters_on_the_essential_spectrum():
     nu = abs(compute_index(params).analytic_index)
     result = essential_spectrum(params, 2048)
     ts = truncated_spectrum(params, 300)
-    dist = np.sort(result.union_distance(ts.interior_eigenvalues()))
+    dist = np.sort(union_distance(result, ts.interior_eigenvalues()))
     # all but the stable interface modes cluster on the closed-form set
     assert dist[-(nu + 1)] < 0.05
     separated = int((dist > 0.05).sum())
@@ -360,7 +368,7 @@ def test_witness_smallest_value_bounded_for_a_gapped_instance():
                            b=ParameterProfile.constant(0.6))
     report = compute_index(gapped)
     assert report.analytic_index == 0 and report.wn_minus == report.wn_plus == 0
-    smallest = [kernel_witness(gapped, n).smallest for n in (100, 200, 300)]
+    smallest = [kernel_witness(gapped, n).singular_values[0] for n in (100, 200, 300)]
     assert min(smallest) > 0.5
 
 
@@ -448,14 +456,13 @@ def test_witness_finds_a_near_kernel_behind_values_nearer_the_shift():
 
 def test_witness_keeps_the_fields_the_benchmark_reads():
     # perfbench/spans.py and perfbench/workloads.py read window,
-    # singular_values and count; smallest is public API
+    # singular_values and count
     witness = kernel_witness(reference_params(m=2), 300)
     values = witness.singular_values
     assert witness.window == 300
     assert isinstance(values, np.ndarray) and np.all(np.diff(values) >= 0.0)
     assert isinstance(witness.count, int)
     assert witness.count == int(np.sum(values < KERNEL_THRESHOLD)) == 2
-    assert witness.smallest == values[0]
 
 
 @pytest.mark.parametrize("name, count", [
@@ -477,14 +484,14 @@ def test_witness_certifies_an_empty_near_kernel_at_large_gain(monkeypatch, gamma
     witness = kernel_witness(params, 100)
     assert witness.count == 0 and len(witness.singular_values) == 1
     inner = offdiag_block(params).finite_section(100).matrix[1:-1, 1:-1]
-    assert KERNEL_THRESHOLD < np.linalg.svd(inner, compute_uv=False)[-1] <= witness.smallest
+    assert KERNEL_THRESHOLD < np.linalg.svd(inner, compute_uv=False)[-1] <= witness.singular_values[0]
 
 
 def test_witness_iteration_cap_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 1)
     with pytest.raises(VerificationError, match="no convergence in 1 block iterations"):
         kernel_witness(reference_params(m=2), 300)
-    report = run_verification(reference_params(m=2), 60)
+    report = run_verification(reference_params(m=2), 60, TOL)
     checks = {name: (ok, detail) for name, ok, detail in report.checks}
     assert checks.pop("kernel witness") == (
         False, "kernel witness: no convergence in 1 block iterations at window 300")
@@ -570,16 +577,16 @@ def test_unitary_mapping_consistency():
 
 def test_full_report_passes_for_the_reference_instances():
     for params in (reference_params(), reference_mko_params()):
-        report = run_verification(params, 60)
+        report = run_verification(params, 60, TOL)
         assert report.passed, report.checks
         names = [name for name, _, _ in report.checks]
         assert "chiral symmetry" in names and "kernel witness" in names
-    mko_report = run_verification(reference_mko_params(), 60)
+    mko_report = run_verification(reference_mko_params(), 60, TOL)
     assert mko_report.equivalence_residual < 1e-12
 
 
 def test_full_report_includes_bound_states_for_unitary_instances():
-    report = run_verification(unitary_wall_params(), 80)
+    report = run_verification(unitary_wall_params(), 80, TOL)
     assert report.passed
     assert report.bound_states is not None and report.bound_states.count >= 2
 
@@ -600,7 +607,7 @@ def count_calls(monkeypatch, owner, name):
 def test_verification_solves_an_m_step_walk_section_once(monkeypatch):
     eig = count_calls(monkeypatch, np.linalg, "eig")
     index = count_calls(monkeypatch, verify_module, "compute_index")
-    report = run_verification(unitary_wall_params(), 80)
+    report = run_verification(unitary_wall_params(), 80, TOL)
     assert report.bound_states is not None and report.bound_states.window == 80
     assert (len(eig), len(index)) == (1, 1)
 
@@ -616,7 +623,7 @@ def test_a_unitary_two_step_walk_counts_bound_states_on_its_reduction(monkeypatc
     interior = truncated_spectrum(reduce_to_um(params), 80).interior_eigenvalues()
     eig = count_calls(monkeypatch, np.linalg, "eig")
     index = count_calls(monkeypatch, verify_module, "compute_index")
-    report = run_verification(params, 80)
+    report = run_verification(params, 80, TOL)
     assert (len(eig), len(index)) == (2, 1)
     assert report.passed, report.checks
     assert report.bound_states.near_plus == int(np.sum(np.abs(interior - 1.0) < EIGENVALUE_TOL))
