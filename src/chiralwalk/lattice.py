@@ -176,22 +176,21 @@ class BandedOperator:
         # is written, so untouched pages of a large section are never mapped.
         mat = np.zeros((size, size), dtype=complex)
         mat[rows, cols] += vals
-        return FiniteSection(N, n, self.bandwidth, mat)
+        return FiniteSection(N, n, mat)
 
 
 @dataclass
 class FiniteSection:
     """Dense compression of a banded operator to the window [-N, N].
 
-    Rows (and columns) within ``source_bandwidth`` of the window edge are
-    boundary-affected: they differ from the rows of the infinite operator
-    because the truncation drops matrix entries.  Comparisons should restrict
-    to interior rows via :meth:`rows_within`.
+    Rows (and columns) within the source operator's ``bandwidth`` of the
+    window edge are boundary-affected: they differ from the rows of the
+    infinite operator because the truncation drops matrix entries.
+    Comparisons should restrict to interior rows via :meth:`rows_within`.
     """
 
     window: int
     block_size: int
-    source_bandwidth: int
     matrix: np.ndarray
 
     def block_sites(self) -> np.ndarray:

@@ -142,7 +142,6 @@ class AsymptoticData:
     q: complex
     b: complex
     theta: float
-    theta_prime: float
 
     @classmethod
     def from_params(cls, params: ModelParamsUm, star: str) -> "AsymptoticData":
@@ -158,7 +157,6 @@ class AsymptoticData:
             q=q,
             b=b,
             theta=_principal_angle(q),
-            theta_prime=_principal_angle(b),
         )
 
 

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .index import sgn
 from .models import MAX_SAMPLES, AsymptoticData, ModelParamsUm
@@ -163,26 +162,55 @@ class SpectralSet:
             out.append((alpha, beta))
         return out
 
-    def distance(self, points) -> np.ndarray:
-        """Euclidean distance from each point to the set (inf when empty)."""
+    def _piece_distances(self, points) -> np.ndarray:
+        """Distance from each point to each piece: one row per arc, then one per segment."""
         w = np.asarray(points, dtype=complex)
         r = np.abs(w)
         psi = np.abs(np.angle(w))
-        best = np.full(w.shape, np.inf)
+        rows = []
         for alpha, beta in self._arc_angle_ranges():
             inside = (psi >= alpha) & (psi <= beta)
             tau = np.clip(psi, alpha, beta)
             d_edge = np.sqrt(np.maximum(r * r + 1.0 - 2.0 * r * np.cos(psi - tau), 0.0))
-            d = np.where(inside, np.abs(r - 1.0), d_edge)
-            best = np.minimum(best, d)
+            rows.append(np.where(inside, np.abs(r - 1.0), d_edge))
         for u, v in self.segments:
-            nearest = np.clip(w.real, u, v)
-            d = np.hypot(w.real - nearest, w.imag)
-            best = np.minimum(best, d)
-        return best
+            rows.append(np.hypot(w.real - np.clip(w.real, u, v), w.imag))
+        return np.array(rows).reshape((len(rows),) + w.shape)
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.distance(np.atleast_1d(z)) <= tol))
+    def distance(self, points) -> np.ndarray:
+        """Euclidean distance from each point to the set (inf when empty)."""
+        return np.min(self._piece_distances(points), axis=0, initial=np.inf)
+
+    def _hausdorff_sides(self, cloud: np.ndarray, points: np.ndarray):
+        """Per-point distances cloud -> set and ``points`` -> nearest cloud point.
+
+        Each cloud point goes to its nearest piece, and each piece's points
+        are sorted by a key: the angle for an arc, the real part for a
+        segment.  Distance to a point on the unit circle grows with the
+        angular gap, and distance to a real number with the gap in real
+        part, so each of ``points`` takes the 2 sorted neighbours on either
+        side of its own key in every piece (across +-pi on an arc) and keeps
+        the nearest.  Per point that result is never below the true
+        nearest-cloud distance; it equals it whenever the cloud lies on the
+        set to roundoff, as every symbol cloud does, and otherwise exceeds
+        it by at most twice the largest cloud -> set distance, so a wrong
+        set only reads further from the cloud.
+        """
+        pieces = self._piece_distances(cloud)
+        owner = np.argmin(pieces, axis=0)
+        keys = [np.angle] * len(self.arcs) + [np.real] * len(self.segments)
+        gaps = np.full(points.shape, np.inf)
+        for k, key in enumerate(keys):
+            owned = cloud[owner == k]
+            if owned.size == 0:
+                continue
+            owned = owned[np.argsort(key(owned))]
+            at = np.searchsorted(key(owned), key(points))
+            for shift in range(-2, 2):
+                i = at + shift
+                i = i % owned.size if key is np.angle else np.clip(i, 0, owned.size - 1)
+                np.minimum(gaps, np.abs(points - owned[i]), out=gaps)
+        return pieces.min(axis=0), gaps
 
     def sample(self, count: int) -> np.ndarray:
         """Deterministic discretisation, density proportional to length."""
@@ -316,17 +344,14 @@ def essential_spectrum(params: ModelParamsUm, resolution: int) -> EssentialSpect
         data = EndpointSpectrumData.from_asymptotics(asym)
         sset = sigma_star(asym)
         cloud = symbol_eigenvalues(asym, np.exp(1j * t), params.m).ravel()
-        cloud_to_set = float(np.max(sset.distance(cloud)))
-        set_pts = sset.sample(2 * resolution)
-        tree = cKDTree(np.column_stack([cloud.real, cloud.imag]))
-        dists, _ = tree.query(np.column_stack([set_pts.real, set_pts.imag]))
+        to_set, to_cloud = sset._hausdorff_sides(cloud, sset.sample(2 * resolution))
         reports[star] = EndpointEssentialSpectrum(
             star=star,
             data=data,
             spectral_set=sset,
             cloud=cloud,
-            cloud_to_set=cloud_to_set,
-            set_to_cloud=float(np.max(dists)) if len(dists) else 0.0,
+            cloud_to_set=float(np.max(to_set)),
+            set_to_cloud=float(np.max(to_cloud)),
             tolerance=hausdorff_tolerance(data, params.m, resolution),
         )
     return EssentialSpectrumResult(minus=reports[MINUS_INF], plus=reports[PLUS_INF])

@@ -207,7 +207,7 @@ def _gauged_section(op: BandedOperator, window: int) -> FiniteSection:
         vals = gauged.real
     matrix = np.zeros((size, size), dtype=vals.dtype)
     matrix[rows, cols] = vals
-    return FiniteSection(window, op.block_size, op.bandwidth, matrix)
+    return FiniteSection(window, op.block_size, matrix)
 
 
 def truncated_spectrum(params, window: int) -> TruncatedSpectrum:

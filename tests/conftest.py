@@ -65,6 +65,11 @@ def unitary_mapping_check(params, window: int) -> float:
     return float(np.abs(interior[:, None] - mapped[None, :]).min(axis=1).max())
 
 
+def contains(sset, z, tol: float) -> bool:
+    """Whether every point of ``z`` lies within ``tol`` of the spectral set."""
+    return bool(np.all(sset.distance(np.atleast_1d(z)) <= tol))
+
+
 def random_real_profile(rng, lo, hi, sites=2):
     overrides = {int(s): rng.uniform(lo, hi) for s in rng.integers(-4, 5, size=sites)}
     return ParameterProfile(rng.uniform(lo, hi), rng.uniform(lo, hi), overrides)

@@ -12,6 +12,7 @@ import sys
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -429,6 +430,21 @@ def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, m
     assert parse_spectrum_csv(out_csv.read_text(encoding="utf-8"))["+inf"].case_tag == "III"
 
 
+def test_spectrum_flags_a_cloud_that_covers_a_quarter_of_the_circle(capsys, monkeypatch):
+    # every sampled value still lies on the closed-form set, so only the
+    # set -> cloud side of the Hausdorff distance sees the missing samples
+    exact = spectrum_module.symbol_eigenvalues
+
+    def quarter(asym, z, m):
+        t = np.angle(z)
+        return exact(asym, z[(t >= 0.0) & (t < np.pi / 2)], m)
+
+    monkeypatch.setattr(spectrum_module, "symbol_eigenvalues", quarter)
+    assert main(["spectrum", UM1]) == 3
+    out = capsys.readouterr().out
+    assert out.count("  sampling oracle: Hausdorff 1.192e+00 (tolerance 8.040e-01) EXCEEDED\n") == 2
+
+
 # ---------------------------------------------------------------------------
 # the verify command
 # ---------------------------------------------------------------------------
@@ -508,7 +524,7 @@ def test_cli_import_loads_no_further_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out[-1] == "False"
-    assert set(out[:-1]) <= {"constants", "linalg", "sparse", "spatial", "special", "version"}
+    assert set(out[:-1]) <= {"linalg", "sparse", "version"}
 
 
 def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):

@@ -137,10 +137,11 @@ def test_finite_section_identity_and_window_error():
 
 
 def test_boundary_rows_are_flagged():
-    sec = finite_section(BandedOperator.shift(2), 5)
+    op = BandedOperator.shift(2)
+    sec = finite_section(op, 5)
     sites = sec.block_sites()
-    assert sec.source_bandwidth == 2
-    assert np.array_equal(sec.rows_within(sec.source_bandwidth), np.nonzero(np.abs(sites) <= 3)[0])
+    assert op.bandwidth == 2
+    assert np.array_equal(sec.rows_within(op.bandwidth), np.nonzero(np.abs(sites) <= 3)[0])
 
 
 def test_sections_vanish_beyond_the_band():

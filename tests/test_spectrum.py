@@ -19,7 +19,13 @@ from chiralwalk.models import MAX_SAMPLES
 from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 from chiralwalk.spectrum import SpectralSet
 
-from conftest import random_fredholm_params, real_profile, reference_params
+from conftest import (
+    contains,
+    random_fredholm_params,
+    random_um_params,
+    real_profile,
+    reference_params,
+)
 
 # Frozen with independent scalar arithmetic from p0 = 0.2, a0 = 0.1, g0 = 0.4:
 #   gamma_-+ = acosh((1 -+ sqrt(0.96 * 0.99)) / 0.02) / 2
@@ -155,7 +161,7 @@ def test_reference_spectral_set_case_two():
     assert abs(arc[0] - LAMBDA_MINUS_REF) < 1e-14 and arc[1] == 1.0
     assert abs(segment[0] - 1.0 / G_LAMBDA_PLUS_REF) < 1e-14
     assert abs(segment[1] - G_LAMBDA_PLUS_REF) < 1e-14
-    assert sset.contains(1.0)
+    assert contains(sset, 1.0, 1e-9)
 
 
 def test_mirrored_sign_gives_the_mirrored_set():
@@ -169,7 +175,7 @@ def test_mirrored_sign_gives_the_mirrored_set():
     (seg_p,), (seg_m,) = plus.segments, minus.segments
     assert arc_m == (-arc_p[1], -arc_p[0])
     assert seg_m == (-seg_p[1], -seg_p[0])
-    assert minus.contains(-1.0)
+    assert contains(minus, -1.0, 1e-9)
 
 
 def _hex_pieces(pieces):
@@ -193,7 +199,7 @@ def test_flipping_the_sign_of_a_reflects_the_set_exactly():
         gamma = rng.uniform(-3.0, 3.0)
         q = math.sqrt(1.0 - p * p) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         b = math.sqrt(1.0 - a * a) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        base, flipped = (sigma_star(AsymptoticData(PLUS_INF, p, sa, gamma, q, b, 0.0, 0.0))
+        base, flipped = (sigma_star(AsymptoticData(PLUS_INF, p, sa, gamma, q, b, 0.0))
                          for sa in (a, -a))
         assert (flipped.case_tag, flipped.sign_tag) == (base.case_tag, -base.sign_tag)
         for mine, theirs in ((flipped.arcs, base.arcs), (flipped.segments, base.segments)):
@@ -211,7 +217,7 @@ def test_plain_coin_walk_set_is_a_symmetric_arc_pair():
     sset = sigma_star(AsymptoticData.from_params(params, PLUS_INF))
     assert sset.case_tag == "I"
     assert sset.arcs == ((-bv, bv),)
-    assert not sset.contains(1.0, tol=1e-6) and not sset.contains(-1.0, tol=1e-6)
+    assert not contains(sset, 1.0, 1e-6) and not contains(sset, -1.0, 1e-6)
 
 
 @pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
@@ -274,7 +280,7 @@ def test_symbol_trace_formula():
             trace = mats[..., 0, 0] + mats[..., 1, 1]
             expected = 2 * (asym.p * asym.a * math.cosh(2 * asym.gamma)
                             + abs(asym.q * asym.b)
-                            * np.cos(asym.theta + asym.theta_prime + params.m * t))
+                            * np.cos(asym.theta + np.angle(asym.b) % (2 * np.pi) + params.m * t))
             assert np.max(np.abs(trace - expected)) < 1e-12
 
 
@@ -371,7 +377,7 @@ def test_reference_essential_spectrum_oracle_agreement():
         assert ep.spectral_set.case_tag == "II"
         assert ep.cloud_to_set < 1e-9
         assert ep.hausdorff <= ep.tolerance
-    assert any(ep.spectral_set.contains(1.0) for ep in (result.minus, result.plus))
+    assert any(contains(ep.spectral_set, 1.0, 1e-9) for ep in (result.minus, result.plus))
 
 
 def test_unitary_cloud_lies_on_the_circle():
@@ -390,8 +396,8 @@ def test_opposite_signs_touch_opposite_poles():
     result = essential_spectrum(params, 512)
     assert result.minus.spectral_set.case_tag == "II" and result.minus.data.s == 1
     assert result.plus.spectral_set.case_tag == "II" and result.plus.data.s == -1
-    assert result.minus.spectral_set.contains(1.0)
-    assert result.plus.spectral_set.contains(-1.0)
+    assert contains(result.minus.spectral_set, 1.0, 1e-9)
+    assert contains(result.plus.spectral_set, -1.0, 1e-9)
 
 
 def test_case_tags_describe_the_cloud():
@@ -412,7 +418,7 @@ def test_case_tags_describe_the_cloud():
                 # the pole belongs to the set; the cloud approaches it no
                 # slower than the calibrated square-root branch gap
                 assert np.min(np.abs(ep.cloud - pole)) <= ep.tolerance
-                assert ep.spectral_set.contains(pole)
+                assert contains(ep.spectral_set, pole, 1e-9)
 
 
 def test_resolution_floor():
@@ -423,3 +429,73 @@ def test_resolution_floor():
 def test_resolution_ceiling_is_the_sample_cap():
     with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
         essential_spectrum(reference_params(), MAX_SAMPLES + 1)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's set -> cloud search
+# ---------------------------------------------------------------------------
+
+SEARCH_RESOLUTION = 512
+
+
+def _brute_nearest(points, cloud, chunk=256):
+    """min |x - c| over the whole cloud for each point, a chunk of points at a time."""
+    return np.concatenate([np.min(np.abs(points[i:i + chunk, None] - cloud[None, :]), axis=1)
+                           for i in range(0, len(points), chunk)])
+
+
+def _shortened(sset, frac):
+    """``sset`` with each piece cut by ``frac`` of its length.
+
+    Arcs keep the end nearer the pole s and segments the end nearer 0, so a
+    Case II arc still ends at the pole and its segment still passes it.
+    """
+    def cut(pieces, keep_upper):
+        return tuple((u + frac * (v - u), v) if keep_upper else (u, v - frac * (v - u))
+                     for u, v in pieces)
+    up = sset.sign_tag == 1
+    return SpectralSet(cut(sset.arcs, up), cut(sset.segments, not up),
+                       sset.case_tag, sset.sign_tag)
+
+
+@pytest.fixture(scope="module")
+def oracle_endpoints():
+    """Endpoints of seeded draws (gain up to 2.5, m in +-{1, 2, 3}) and of two large-gain sets."""
+    rng = np.random.default_rng(71)
+    params = [random_um_params(rng, gamma_range=2.5) for _ in range(36)]
+    params += [reference_params(gamma=gamma) for gamma in (200.0, 354.0)]
+    out = []
+    for p in params:
+        result = essential_spectrum(p, SEARCH_RESOLUTION)
+        out += [(p.m, ep) for ep in (result.minus, result.plus)]
+    return out
+
+
+def test_set_to_cloud_search_equals_brute_force_per_point(oracle_endpoints):
+    seen, steps, wraps = set(), set(), 0
+    for m, ep in oracle_endpoints:
+        sset = ep.spectral_set
+        points = sset.sample(2 * SEARCH_RESOLUTION)
+        to_set, to_cloud = sset._hausdorff_sides(ep.cloud, points)
+        assert np.array_equal(to_set, sset.distance(ep.cloud))
+        assert np.array_equal(to_cloud, _brute_nearest(points, ep.cloud))
+        assert ep.set_to_cloud == np.max(to_cloud)
+        seen.add(sset.case_tag)
+        steps.add(m)
+        wraps += any(u == -1.0 for u, _ in sset.arcs)       # arc angles cross +-pi
+    assert seen == {"I", "II", "III"} and steps == {-3, -2, -1, 1, 2, 3} and wraps > 0
+    assert max(ep.data.lam_plus for _, ep in oracle_endpoints) > 1e305
+
+
+@pytest.mark.parametrize("frac", [0.3, 1e-2, 1e-3])
+def test_set_to_cloud_search_against_a_wrong_set_errs_only_upwards(oracle_endpoints, frac):
+    # a wrong set leaves cloud points off its pieces; the search may then
+    # miss the nearest one, but by at most twice the cloud -> set distance
+    for _, ep in oracle_endpoints:
+        wrong = _shortened(ep.spectral_set, frac)
+        points = wrong.sample(2 * SEARCH_RESOLUTION)
+        to_set, to_cloud = wrong._hausdorff_sides(ep.cloud, points)
+        brute = _brute_nearest(points, ep.cloud)
+        assert np.max(to_set) > 0.0
+        assert np.all(brute <= to_cloud)
+        assert np.all(to_cloud <= brute + 2.0 * np.max(to_set))

@@ -101,11 +101,12 @@ def test_sparse_residuals_match_dense_products():
     for _ in range(10):
         params = random_mko_params(rng)
         um, eta = mko_to_um(params)
-        sec = mko_walk(params).finite_section(window)
+        mko_op = mko_walk(params)
+        sec = mko_op.finite_section(window)
         e = eta.finite_section(window).matrix
         e_adj = eta.adjoint().finite_section(window).matrix
         reduced = walk(um).finite_section(window).matrix
-        dense = dense_interior_max(sec, 2 * eta.bandwidth + sec.source_bandwidth,
+        dense = dense_interior_max(sec, 2 * eta.bandwidth + mko_op.bandwidth,
                                    e_adj @ sec.matrix @ e - reduced)
         assert abs(equivalence_residual(params, window) - dense) <= 1e-15
 
@@ -124,10 +125,11 @@ def test_residuals_take_no_coefficient_level_adjoint(monkeypatch):
                                     u_adj - g @ sec_u.matrix @ g)
         cases.append((grading_op, walk_op, chiral))
     um, eta = mko_to_um(mko)
-    sec = mko_walk(mko).finite_section(window)
+    mko_op = mko_walk(mko)
+    sec = mko_op.finite_section(window)
     e = eta.finite_section(window).matrix
     e_adj = eta.adjoint().finite_section(window).matrix
-    equivalence = dense_interior_max(sec, 2 * eta.bandwidth + sec.source_bandwidth,
+    equivalence = dense_interior_max(sec, 2 * eta.bandwidth + mko_op.bandwidth,
                                      e_adj @ sec.matrix @ e - walk(um).finite_section(window).matrix)
 
     def refuse(self):
