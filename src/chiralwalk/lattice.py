@@ -186,7 +186,6 @@ class FiniteSection:
     Rows (and columns) within the source operator's ``bandwidth`` of the
     window edge are boundary-affected: they differ from the rows of the
     infinite operator because the truncation drops matrix entries.
-    Comparisons should restrict to interior rows via :meth:`rows_within`.
     """
 
     window: int
@@ -196,11 +195,6 @@ class FiniteSection:
     def block_sites(self) -> np.ndarray:
         """Lattice site of each flat row index."""
         return np.repeat(np.arange(-self.window, self.window + 1), self.block_size)
-
-    def rows_within(self, margin: int) -> np.ndarray:
-        """Flat indices of block rows at distance >= margin from the edge."""
-        sites = self.block_sites()
-        return np.nonzero(np.abs(sites) <= self.window - margin)[0]
 
 
 # Function forms of the two operations the benchmark's span tracer times by name

@@ -9,9 +9,13 @@ compare sparse matrix products of finite sections on interior rows, and the
 witness factors the banded Hermitian dilation of the off-diagonal block once
 and runs a block inverse iteration that returns the near-kernel singular
 values plus an upper bound on the next one, unless a diagonal-dominance bound
-already shows that there is no near-kernel.  Dense matrices appear only where
-a full spectrum is needed (truncated spectra, which also give the bound
-states), and :data:`DENSE_BUDGET` bounds their window.
+already shows that there is no near-kernel.  The off-diagonal block couples
+only sites m apart, so ordering its rows and columns by residue class mod
+|m| makes it tridiagonal, and a unitary diagonal gauge on each side makes it
+real without changing its singular values: the witness then runs LAPACK's
+real band solver (``dgbtrf``) on a dilation of bandwidth 3.  Dense matrices
+appear only where a full spectrum is needed (truncated spectra, which also
+give the bound states), and :data:`DENSE_BUDGET` bounds their window.
 
 Walk sections are solved in real arithmetic.  The grading and the coin are
 Hermitian and couple the sites along disjoint paths, so a diagonal phase
@@ -25,7 +29,9 @@ from the sparsity pattern alone; a section that no gauge makes real (the
 check is 8 eps max|entry|) is solved complex.  The truncated spectrum of a
 non-unitary walk is ill-conditioned at large gain: from gamma ~ 8 on, which
 eigenvectors count as edge-localised depends on roundoff, so the real and
-the complex solver can report different counts.
+the complex solver can report different counts.  The kernel witness gauges
+the off-diagonal block by the same rule, with its rows and its columns as
+separate nodes.
 
 The chiral and two-step residuals are compared with the tolerance after
 division by max(1, max|walk entry|): their roundoff is about eps times that
@@ -43,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 
 from .index import IndexReport, compute_index
 from .lattice import BandedOperator, FiniteSection
@@ -67,6 +74,8 @@ EIGENVALUE_TOL = 1e-6
 WITNESS_SHIFT = 1e-2
 WITNESS_RESIDUAL_TOL = 1e-12
 MAX_WITNESS_ITERATIONS = 500
+# bandwidth of the interleaved dilation of a tridiagonal block (see _dilation_band)
+_DILATION_BANDWIDTH = 3
 
 
 class VerificationError(RuntimeError):
@@ -191,20 +200,28 @@ def _phase_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
     return np.array(d)
 
 
-def _gauged_section(op: BandedOperator, window: int) -> FiniteSection:
-    """Dense section of ``op``, real after :func:`_phase_gauge` when that gauge makes it so.
+def _real_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """``vals`` gauged by :func:`_phase_gauge` and made real, or unchanged when that fails.
 
-    The gauged matrix D* A D is similar to A, so it has the same eigenvalues;
-    its eigenvectors are D* v, with the same |v|.  Sections whose gauged
-    entries keep an imaginary part above 8 eps max|entry| stay complex and
-    ungauged.
+    The gauge counts as real when every gauged imaginary part is at most
+    8 eps max|entry|; otherwise the ungauged complex ``vals`` come back.
     """
-    size = op.block_size * (2 * window + 1)
-    rows, cols, vals = op.section_triplets(window)
     d = _phase_gauge(rows, cols, vals, size)
     gauged = vals * d[cols] / d[rows]
     if np.all(np.abs(gauged.imag) <= 8 * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)):
-        vals = gauged.real
+        return gauged.real
+    return vals
+
+
+def _gauged_section(op: BandedOperator, window: int) -> FiniteSection:
+    """Dense section of ``op``, real after :func:`_real_gauge` when that gauge makes it so.
+
+    The gauged matrix D* A D is similar to A, so it has the same eigenvalues;
+    its eigenvectors are D* v, with the same |v|.
+    """
+    size = op.block_size * (2 * window + 1)
+    rows, cols, vals = op.section_triplets(window)
+    vals = _real_gauge(rows, cols, vals, size)
     matrix = np.zeros((size, size), dtype=vals.dtype)
     matrix[rows, cols] = vals
     return FiniteSection(window, op.block_size, matrix)
@@ -237,29 +254,29 @@ class KernelWitness:
         return int(np.sum(self.singular_values < KERNEL_THRESHOLD))
 
 
-def _dilation_band(a, bandwidth: int) -> np.ndarray:
-    """LAPACK general band storage (for ``zgbtrf``) of H - ``WITNESS_SHIFT`` I.
+def _dilation_band(a) -> np.ndarray:
+    """LAPACK general band storage (for ``?gbtrf``) of H - ``WITNESS_SHIFT`` I.
 
     H = [[0, a], [a*, 0]] is the Hermitian dilation of the square sparse
-    ``a`` (Golub & Kahan): its eigenvalues are +-sigma for every singular
-    value sigma of ``a``, with eigenvectors (x, +-y) for the singular vector
-    pair (x, y).  Interleaving rows and columns as (row 0, col 0, row 1,
-    col 1, ...) puts a[i, j] at (2i, 2j + 1), so H has bandwidth
-    u = 2 * bandwidth + 1.  Entry (r, c) sits at [2u + r - c, c]; the top u
-    rows hold the LU fill-in.
+    tridiagonal ``a`` (Golub & Kahan): its eigenvalues are +-sigma for every
+    singular value sigma of ``a``, with eigenvectors (x, +-y) for the
+    singular vector pair (x, y).  Interleaving rows and columns as (row 0,
+    col 0, row 1, col 1, ...) puts a[i, j] at (2i, 2j + 1), so H has
+    bandwidth u = 3.  Entry (r, c) sits at [2u + r - c, c]; the top u rows
+    hold the LU fill-in.  The band has the dtype of ``a``.
     """
-    u = 2 * bandwidth + 1
+    u = _DILATION_BANDWIDTH
     entries = a.tocoo()
     i, j, v = entries.row, entries.col, entries.data
-    band = np.zeros((3 * u + 1, 2 * a.shape[0]), dtype=complex, order="F")
+    band = np.zeros((3 * u + 1, 2 * a.shape[0]), dtype=a.dtype, order="F")
     band[2 * u + 2 * i - 2 * j - 1, 2 * j + 1] = v
     band[2 * u + 2 * j + 1 - 2 * i, 2 * i] = v.conj()
     band[2 * u] = -WITNESS_SHIFT
     return band
 
 
-def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
-    """Singular values of the square sparse ``a`` below ``KERNEL_THRESHOLD``, then one bound.
+def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
+    """Singular values of the square sparse tridiagonal ``a`` below ``KERNEL_THRESHOLD``, then one bound.
 
     Block inverse iteration on the dilation H of :func:`_dilation_band`,
     factored once at shift ``WITNESS_SHIFT`` (at 0, H is numerically
@@ -268,12 +285,14 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
     the span of both.  That span is closed under (x, y) -> (x, -y), so the
     Ritz values are exact +-pairs, the singular values s of left* a right;
     Ritz vectors of a general subspace can mix the +s and -s eigenvectors
-    into a value near 0 that settles only as fast as the two separate.
+    into a value near 0 that settles only as fast as the two separate.  The
+    factorisation, the solves and the block all take the dtype of ``a``, so
+    a real ``a`` runs in real arithmetic (``dgbtrf``/``dgbtrs``).
 
     Singular values below 2 * ``WITNESS_SHIFT`` sit nearer the shift than
     the near-kernel, so the iteration fills the block with them first; a
     block that holds only such values may miss part of the near-kernel.
-    The start block (4 * bandwidth + 4 columns) comes from a fixed seed and
+    The start block (``start_columns`` columns) comes from a fixed seed and
     doubles while every Ritz value is below 2 * ``WITNESS_SHIFT``.  The
     iteration stops once (i) every near-kernel pair has residual <=
     ``WITNESS_RESIDUAL_TOL``, (ii) every other Ritz value s has
@@ -307,18 +326,20 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
     off_diagonal = magnitudes.sum(axis=1) + columns - 2.0 * diag
     if np.min(diag - 0.5 * off_diagonal) > KERNEL_THRESHOLD:
         return np.array([np.min(columns)])
-    u = 2 * bandwidth + 1
-    lu, pivots, info = zgbtrf(_dilation_band(a, bandwidth), u, u, overwrite_ab=1)
+    u = _DILATION_BANDWIDTH
+    band = _dilation_band(a)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    lu, pivots, info = gbtrf(band, u, u, overwrite_ab=1)
     if info != 0:
         raise VerificationError(f"kernel witness: dilation singular at shift {WITNESS_SHIFT}")
     a_adj = a.conj().T.tocsr()
     rng = np.random.default_rng(0)
-    block = rng.standard_normal((2 * size, 4 * bandwidth + 4))
+    block = rng.standard_normal((2 * size, start_columns))
     for _ in range(MAX_WITNESS_ITERATIONS):
         if block.shape[1] >= size:
             raise VerificationError(
                 f"kernel witness: block of {block.shape[1]} reached the section size {size}")
-        block = zgbtrs(lu, u, u, np.asfortranarray(block, dtype=complex), pivots, overwrite_b=1)[0]
+        block = gbtrs(lu, u, u, np.asfortranarray(block, dtype=a.dtype), pivots, overwrite_b=1)[0]
         left = np.linalg.qr(block[0::2])[0]
         right = np.linalg.qr(block[1::2])[0]
         image = a @ right
@@ -334,7 +355,7 @@ def _near_kernel_singular_values(a, bandwidth: int) -> np.ndarray:
         # on singular values under 2 shift, the ones nearer the shift than
         # the near-kernel; weight under one half means the block has room
         room = values - 2.0 * residuals > 2.0 * WITNESS_SHIFT
-        block = np.empty((2 * size, len(values)), dtype=complex, order="F")
+        block = np.empty((2 * size, len(values)), dtype=a.dtype, order="F")
         block[0::2] = left
         block[1::2] = right
         if np.all(values < 2.0 * WITNESS_SHIFT):
@@ -356,13 +377,27 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     witness, not a signed index.  Computes only the near-kernel values and an
     upper bound on the next one, in time linear in the window; raises
     :class:`VerificationError` if the block iteration does not settle.
+
+    The block has entries only at offsets +m, 0 and -m, so ordering its rows
+    and columns by residue class mod |m| (a permutation, which keeps the
+    singular values) splits it into |m| tridiagonal blocks.  Those are then
+    gauged by :func:`_real_gauge` with rows and columns as separate nodes:
+    D1* A D2 with unitary diagonal D1, D2 has the singular values of A, and
+    it is real when every 4-cycle of the pattern has a real product.  The
+    block's does: its diagonal is real up to the global factor i/2, and
+    up(x) down(x + m) ~ |beta|^2.
     """
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
     block = offdiag_block(params)
     k = block.bandwidth
     inner = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
-    return KernelWitness(window, _near_kernel_singular_values(inner, k))
+    size = inner.shape[0]
+    order = np.argsort(np.arange(size) % abs(params.m), kind="stable")
+    inner = inner[order][:, order].tocoo()
+    vals = _real_gauge(inner.row, inner.col + size, inner.data, 2 * size)
+    tridiagonal = sparse.csr_array((vals, (inner.row, inner.col)), shape=(size, size))
+    return KernelWitness(window, _near_kernel_singular_values(tridiagonal, 4 * k + 4))
 
 
 @dataclass

@@ -39,6 +39,11 @@ def reference_mko_params(gamma: float = 0.4, phi: float = 0.15) -> ModelParamsMk
     )
 
 
+def rows_within(section, margin: int) -> np.ndarray:
+    """Flat indices of a finite section's block rows at distance >= margin from the edge."""
+    return np.nonzero(np.abs(section.block_sites()) <= section.window - margin)[0]
+
+
 def unitary_mapping_check(params, window: int) -> float:
     """Consistency of the imaginary-part spectra for unitary instances.
 

@@ -496,6 +496,20 @@ def test_verify_command_passes_on_every_config_at_large_gain(tmp_path, capsys, n
     assert "FAIL" not in captured.out and captured.err == ""
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3: at gain 20/0.4 the block's section has norm ~1e16 and the witness "
+           "stalls (no convergence in 500 block iterations at window 300, exit 3); "
+           "equilibrating the block should settle it")
+def test_verify_passes_the_witness_at_unequal_half_line_gains(tmp_path, capsys):
+    doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": 20.0, "right": 0.4}
+    code = main(["verify", write_config(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert "kernel witness: PASS" in out
+    assert code == 0
+
+
 def test_every_benchmark_trace_target_is_a_library_callable(monkeypatch):
     # perfbench/spans.py patches these names when the benchmark traces a run,
     # so a library rename or deletion would break `perfbench/run.py --trace 1`

@@ -5,7 +5,7 @@ from chiralwalk.lattice import BandedOperator, compose, finite_section
 from chiralwalk.models import grading, mko_grading, mko_to_um, mko_walk, walk
 from chiralwalk.profiles import ParameterProfile
 
-from conftest import reference_mko_params, reference_params
+from conftest import reference_mko_params, reference_params, rows_within
 
 
 def random_operator(rng, block_size=2, bandwidth=1, sites=3):
@@ -80,7 +80,7 @@ def test_compose_interior_matches_dense_product():
         n = 8
         sec = finite_section(ab, n)
         dense = finite_section(a, n).matrix @ finite_section(b, n).matrix
-        rows = sec.rows_within(a.bandwidth + b.bandwidth)
+        rows = rows_within(sec, a.bandwidth + b.bandwidth)
         assert np.max(np.abs((sec.matrix - dense)[rows])) < 1e-13
 
 
@@ -141,7 +141,7 @@ def test_boundary_rows_are_flagged():
     sec = finite_section(op, 5)
     sites = sec.block_sites()
     assert op.bandwidth == 2
-    assert np.array_equal(sec.rows_within(op.bandwidth), np.nonzero(np.abs(sites) <= 3)[0])
+    assert np.array_equal(rows_within(sec, op.bandwidth), np.nonzero(np.abs(sites) <= 3)[0])
 
 
 def test_sections_vanish_beyond_the_band():

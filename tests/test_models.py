@@ -23,7 +23,8 @@ from chiralwalk.models import (M_LIMIT, MAX_SAMPLES, NORMALIZATION_TOL, check_ph
 from chiralwalk.index import symbols_from_block
 from chiralwalk.profiles import STARS, ParameterProfile
 
-from conftest import random_fredholm_params, random_mko_params, random_um_params, real_profile
+from conftest import (random_fredholm_params, random_mko_params, random_um_params, real_profile,
+                      rows_within)
 
 DIAG_PM1 = BandedOperator.multiplication([[1.0, None], [None, -1.0]])
 ZERO2 = BandedOperator(2, {})
@@ -32,7 +33,7 @@ ZERO2 = BandedOperator(2, {})
 def interior_unitarity_residual(op, window):
     sec = op.finite_section(window)
     diff = sec.matrix.conj().T @ sec.matrix - np.eye(len(sec.matrix))
-    rows = sec.rows_within(2 * op.bandwidth)
+    rows = rows_within(sec, 2 * op.bandwidth)
     return np.max(np.abs(diff[np.ix_(rows, rows)]))
 
 
@@ -134,7 +135,7 @@ def test_grading_square_dense_oracle():
     params = random_um_params(rng)
     g = grading(params)
     sec = g.finite_section(20)
-    rows = sec.rows_within(2 * g.bandwidth)
+    rows = rows_within(sec, 2 * g.bandwidth)
     diff = sec.matrix @ sec.matrix - np.eye(len(sec.matrix))
     assert np.max(np.abs(diff[rows])) < 1e-12
     assert np.max(np.abs(sec.matrix - sec.matrix.conj().T)) < 1e-12
@@ -490,7 +491,7 @@ def test_two_step_reduction_dense_oracle():
         s_eta_adj = eta.adjoint().finite_section(window).matrix
         reduced = walk(um).finite_section(window).matrix
         diff = s_eta_adj @ walk_sec.matrix @ s_eta - reduced
-        rows = walk_sec.rows_within(2 * eta.bandwidth + mko_walk(params).bandwidth)
+        rows = rows_within(walk_sec, 2 * eta.bandwidth + mko_walk(params).bandwidth)
         assert np.max(np.abs(diff[rows])) < 1e-12
 
 

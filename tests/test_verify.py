@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from chiralwalk import verify as verify_module
@@ -54,6 +55,7 @@ from conftest import (
     real_profile,
     reference_mko_params,
     reference_params,
+    rows_within,
     unitary_mapping_check,
 )
 
@@ -80,7 +82,7 @@ def test_equivalence_residual_on_random_draws():
 
 
 def dense_interior_max(section, margin, diff):
-    return float(np.max(np.abs(diff[section.rows_within(margin)])))
+    return float(np.max(np.abs(diff[rows_within(section, margin)])))
 
 
 def test_sparse_residuals_match_dense_products():
@@ -405,19 +407,21 @@ def test_witness_diagonal_near_kernel_closed_form():
     assert 0.6 - 1e-12 <= values[2] <= 1.0
 
 
+def assert_values_match_dense_svd(values, matrix):
+    svals = np.sort(np.linalg.svd(matrix, compute_uv=False))
+    count = int(np.sum(svals < KERNEL_THRESHOLD))
+    assert int(np.sum(values < KERNEL_THRESHOLD)) == count
+    assert np.max(np.abs(values[:count] - svals[:count]), initial=0.0) < 1e-12
+    # the last value bounds the next singular value from above
+    assert values[-1] >= svals[count] - 1e-12
+
+
 def assert_witness_matches_dense_svd(params, window):
-    witness = kernel_witness(params, window)
     block = offdiag_block(params)
     section = block.finite_section(window)
-    inner = section.rows_within(block.bandwidth)
-    svals = np.sort(np.linalg.svd(section.matrix[np.ix_(inner, inner)],
-                                  compute_uv=False))
-    count = int(np.sum(svals < KERNEL_THRESHOLD))
-    assert witness.count == count
-    assert np.max(np.abs(witness.singular_values[:count] - svals[:count]),
-                  initial=0.0) < 1e-12
-    # the last value bounds the next singular value from above
-    assert witness.singular_values[-1] >= svals[count] - 1e-12
+    inner = rows_within(section, block.bandwidth)
+    assert_values_match_dense_svd(kernel_witness(params, window).singular_values,
+                                  section.matrix[np.ix_(inner, inner)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -456,6 +460,38 @@ def test_witness_finds_a_near_kernel_behind_values_nearer_the_shift():
     assert_witness_matches_dense_svd(params, 1000)
 
 
+def test_witness_falls_back_to_complex_arithmetic_when_no_gauge_makes_the_block_real():
+    # diagonal 0.5, superdiagonal 1, subdiagonal 0.3i: every 4-cycle of the
+    # pattern has the product 0.5 * 0.5 / (1 * 0.3i), which no diagonal gauge
+    # makes real; the symbol 0.5 + z + 0.3i / z winds once around 0, so the
+    # section has one near-kernel value
+    size = 400
+    a = sparse.diags_array([np.full(size - 1, 0.3j), np.full(size, 0.5 + 0j), np.ones(size - 1)],
+                           offsets=[-1, 0, 1], format="coo")
+    vals = verify_module._real_gauge(a.row, a.col + size, a.data, 2 * size)
+    assert vals.dtype == np.complex128
+    tridiagonal = sparse.csr_array((vals, (a.row, a.col)), shape=a.shape)
+    values = verify_module._near_kernel_singular_values(tridiagonal, 8)
+    assert int(np.sum(values < KERNEL_THRESHOLD)) == 1
+    assert_values_match_dense_svd(values, a.toarray())
+
+
+def test_witness_runs_the_two_step_reference_in_real_arithmetic(monkeypatch):
+    # the block's diagonal is real up to its global factor i/2 and
+    # up(x) down(x + m) ~ |beta|^2, so the gauge makes the permuted block real
+    dtypes = []
+    original = verify_module._near_kernel_singular_values
+
+    def spy(a, start_columns):
+        dtypes.append(a.dtype)
+        return original(a, start_columns)
+
+    monkeypatch.setattr(verify_module, "_near_kernel_singular_values", spy)
+    um = reduce_to_um(load_model_config(CONFIG_DIR / "reference_mko.json").build())
+    assert kernel_witness(um, 300).count == 2
+    assert dtypes == [np.float64]
+
+
 def test_witness_keeps_the_fields_the_benchmark_reads():
     # perfbench/spans.py and perfbench/workloads.py read window,
     # singular_values and count
@@ -468,13 +504,19 @@ def test_witness_keeps_the_fields_the_benchmark_reads():
 
 
 @pytest.mark.parametrize("name, count", [
-    ("reference_um_m1", 2), ("reference_um_m2", 4), ("reference_mko", 4)])
+    ("reference_um_m1", 2), ("reference_um_m2", 4), ("reference_mko", 4),
+    ("m=3", 6), ("m=-3", 6)])
 def test_witness_counts_and_iterations_at_wide_windows(monkeypatch, name, count):
     # the near-kernel settles in 14-16 block steps at these windows; a cap of
-    # 20 turns any slide in the convergence rate into a failure
+    # 20 turns any slide in the convergence rate into a failure.  At |m| = 3
+    # the permuted block splits into three tridiagonal blocks.
     monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 20)
-    um = reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
-    assert [kernel_witness(um, n).count for n in (600, 2000, 10000)] == [count] * 3
+    if name.startswith("m="):
+        um, windows = reference_params(m=int(name[2:])), (600, 2000)
+    else:
+        um = reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
+        windows = (600, 2000, 10000)
+    assert [kernel_witness(um, n).count for n in windows] == [count] * len(windows)
 
 
 @pytest.mark.parametrize("gamma", [3.0, 5.0, 8.0])
