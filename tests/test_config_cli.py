@@ -550,6 +550,22 @@ def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):
     assert "bound states: PASS" in out
 
 
+@pytest.mark.parametrize("name, m", [("reference_um_m1", None), ("reference_um_m2", None),
+                                     ("reference_mko", None), ("reference_um_m1", 3),
+                                     ("reference_um_m1", -3)])
+def test_verify_passes_the_unitary_twins_at_the_default_window(tmp_path, capsys, name, m):
+    # at window 100 the twins with |m| >= 2 count half their protected states
+    # near +-1 (e.g. 2 of 4 for m = 2); the check doubles its window once
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": 0.0, "right": 0.0}
+    if m is not None:
+        doc["m"] = m
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    window = 100 if (name, m) == ("reference_um_m1", None) else 200
+    assert f"interior states near +-1 at window {window} >=" in out
+
+
 def test_verify_command_skips_bound_states_of_a_unitary_tie(tmp_path, capsys):
     doc = um_document()
     doc["profiles"] = {

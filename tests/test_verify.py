@@ -299,6 +299,22 @@ def test_walk_sections_are_solved_in_real_arithmetic(section):
                                                 ts.boundary_affected)
 
 
+@pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3, "mko"])
+def test_a_walk_section_is_solved_once_per_residue_class(monkeypatch, m):
+    # an m-step walk couples only sites |m| apart, the two-step walk sites 2
+    # apart, so a section of 2 (2 window + 1) rows splits into one block per class
+    params = reference_mko_params() if m == "mko" else reference_params(m=m)
+    step = 2 if m == "mko" else abs(m)
+    shapes = []
+    original = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or original(a))
+    window = 40
+    ts = truncated_spectrum(params, window)
+    sites = 2 * window + 1
+    assert sorted(shapes) == sorted((2 * len(range(r, sites, step)),) * 2 for r in range(step))
+    assert len(ts.eigenvalues) == len(ts.boundary_affected) == 2 * sites
+
+
 def test_the_phase_gauge_stays_real_to_8_eps_at_the_dense_budget():
     # a breadth-first sweep closes cycles through the root, so its roundoff
     # grows with the window: 12-27 eps on these draws at window 2000
@@ -668,7 +684,9 @@ def test_a_unitary_two_step_walk_counts_bound_states_on_its_reduction(monkeypatc
     eig = count_calls(monkeypatch, np.linalg, "eig")
     index = count_calls(monkeypatch, verify_module, "compute_index")
     report = run_verification(params, 80, TOL)
-    assert (len(eig), len(index)) == (2, 1)
+    # two sections (the two-step walk's own and its reduction's), each a
+    # direct sum of two residue classes mod 2 solved one by one
+    assert (len(eig), len(index)) == (4, 1)
     assert report.passed, report.checks
     assert report.bound_states.near_plus == int(np.sum(np.abs(interior - 1.0) < EIGENVALUE_TOL))
     assert report.bound_states.near_minus == int(np.sum(np.abs(interior + 1.0) < EIGENVALUE_TOL))
