@@ -15,6 +15,7 @@ the closed-form sets only; ``spectrum`` also runs the sampling oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .index import (
 from .models import AsymptoticData, InvalidParameters, default_phase, reduce_to_um
 from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
 from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum, sigma_star
-from .verify import run_verification, truncated_spectrum
+from .verify import run_verification, section_eigenvalues
 
 
 class _UsageError(Exception):
@@ -55,7 +56,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first :func:`main` call."""
     parser = _Parser(prog="chiralwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, flags in (
@@ -247,7 +250,7 @@ def _cmd_plot(args) -> int:
     sets = {star: sigma_star(AsymptoticData.from_params(um, star)) for star in STARS}
     overlay = None
     if args.overlay_window is not None:
-        overlay = truncated_spectrum(params, args.overlay_window).eigenvalues
+        overlay = section_eigenvalues(params, args.overlay_window)
     out = args.out or "spectrum.svg"
     title = (f"{MINUS_INF}: case {sets[MINUS_INF].case_tag}   "
              f"{PLUS_INF}: case {sets[PLUS_INF].case_tag}")

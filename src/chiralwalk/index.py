@@ -35,6 +35,12 @@ from .models import (
 from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
 
 FREDHOLM_TIE_TOL = 1e-10
+# A symbol sample is refused when |f| <= ROUNDOFF_GUARD * eps * (|leading|
+# + |trailing| + 2|c|), the roundoff scale of evaluating f: its argument is
+# noise there.  Near the tie min |f| stayed above 0.4 |margin| times that
+# scale on seeded near-tie draws (|p| in [0.01, 0.999], |gamma| <= 3), so
+# every input the tie rule calls Fredholm clears the guard with room to spare.
+ROUNDOFF_GUARD = 1e3
 
 
 class NotFredholmError(RuntimeError):
@@ -219,14 +225,17 @@ def winding_numeric(sym: SymbolFunction) -> int:
     the increments over 2 pi; it must be an integer to 1e-6 and equal the sum
     on the final grid bisected once more uniformly.
 
-    Refuses with :class:`SymbolNearZeroError` when a sample has |f| <= 1e-8
-    or when a grid would need more than ``MAX_SAMPLES`` samples.
+    Refuses with :class:`SymbolNearZeroError` when a sample has |f| within
+    ``ROUNDOFF_GUARD`` eps of the symbol's scale |leading| + |trailing| +
+    2|c| (the slope certificate proves each increment, so the guard covers
+    only roundoff in f), or when a grid would need more than
+    ``MAX_SAMPLES`` samples.
     """
     slope = sym.slope_bound()
     k = 64 * (abs(sym.m) + 1)
     t = 2.0 * np.pi * np.arange(k + 1) / k
     f = sym.evaluate(np.exp(1j * t[:-1]))
-    _guard_samples(f, k)
+    _guard_samples(sym, f, k)
     f = np.append(f, f[0])
     while True:
         absf = np.abs(f)
@@ -255,11 +264,13 @@ def winding_numeric(sym: SymbolFunction) -> int:
     return int(wn)
 
 
-def _guard_samples(values: np.ndarray, samples: int) -> None:
+def _guard_samples(sym: SymbolFunction, values: np.ndarray, samples: int) -> None:
     fmin = float(np.min(np.abs(values)))
-    if fmin <= 1e-8:
+    scale = abs(sym.leading) + abs(sym.trailing) + 2.0 * abs(sym.c)
+    if fmin <= ROUNDOFF_GUARD * np.finfo(float).eps * scale:
         raise SymbolNearZeroError(
-            f"min |f| = {fmin:.3e} at {samples} samples; winding unreliable"
+            f"min |f| = {fmin:.3e} at {samples} samples is roundoff of the symbol's "
+            f"scale {scale:.3e}; winding unreliable"
         )
 
 
@@ -270,7 +281,7 @@ def _midpoint_values(sym: SymbolFunction, t: np.ndarray, idx: np.ndarray):
         raise SymbolNearZeroError(f"certifying the winding needs more than {MAX_SAMPLES} samples")
     mid = 0.5 * (t[idx] + t[idx + 1])
     values = sym.evaluate(np.exp(1j * mid))
-    _guard_samples(values, samples)
+    _guard_samples(sym, values, samples)
     return mid, values
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .profiles import ParameterProfile
 
@@ -160,8 +159,11 @@ class BandedOperator:
             vals.append(prof.values(xs))
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
-    def sparse_section(self, window: int) -> sparse.csr_array:
+    def sparse_section(self, window: int):
         """Compression to sites [-N, N] as a CSR array (same entries as :meth:`finite_section`)."""
+        # imported here: index and spectrum never build a section and load numpy only
+        from scipy import sparse
+
         size = self.block_size * (2 * int(window) + 1)
         rows, cols, vals = self.section_triplets(window)
         return sparse.csr_array((vals, (rows, cols)), shape=(size, size))

@@ -55,8 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import get_lapack_funcs
 
 from .index import IndexReport, compute_index
 from .lattice import BandedOperator
@@ -88,11 +86,15 @@ class VerificationError(RuntimeError):
     """A finite-section check failed; the message starts with the check's name."""
 
 
+def _walk_operator(params) -> BandedOperator:
+    """The walk operator of either model family."""
+    return mko_walk(params) if isinstance(params, ModelParamsMko) else walk(params)
+
+
 def build_pair(params):
     """(grading, walk) operators for either model family."""
-    if isinstance(params, ModelParamsMko):
-        return mko_grading(params), mko_walk(params)
-    return grading(params), walk(params)
+    grading_op = mko_grading(params) if isinstance(params, ModelParamsMko) else grading(params)
+    return grading_op, _walk_operator(params)
 
 
 def _interior_max(diff, window: int, block_size: int, margin: int) -> float:
@@ -230,7 +232,7 @@ class _SiteSection:
 
     window: int
     sites: np.ndarray                  # lattice site of each row
-    matrix: np.ndarray | sparse.coo_array
+    matrix: object                     # a dense block or a scipy.sparse COO array
 
     def block_sites(self) -> np.ndarray:
         return self.sites
@@ -242,6 +244,9 @@ def _gauged_section(op: BandedOperator, window: int) -> _SiteSection:
     The gauged matrix D* A D is similar to A, so it has the same eigenvalues;
     its eigenvectors are D* v, with the same |v|.
     """
+    # imported here, as in every section builder: index and spectrum load numpy only
+    from scipy import sparse
+
     size = op.block_size * (2 * window + 1)
     rows, cols, vals = op.section_triplets(window)
     vals = _real_gauge(rows, cols, vals, size)
@@ -249,39 +254,60 @@ def _gauged_section(op: BandedOperator, window: int) -> _SiteSection:
     return _SiteSection(window, sites, sparse.coo_array((vals, (rows, cols)), shape=(size, size)))
 
 
-def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
-    """All eigenvalues of the dense walk section, tagged by edge localisation.
+def _class_blocks(walk_op: BandedOperator, window: int):
+    """Yield ``(sites, block)`` for each residue class of the walk section's sites mod ``step``.
 
     The walk couples only sites ``step`` apart, ``step`` the gcd of its
-    coefficient offsets (1 for an on-site walk), so each residue class of
-    the sites mod ``step`` is solved on its own: a dense block of size
-    N/step, scattered from the gauged entries of :func:`_gauged_section` (so
-    walk sections reach LAPACK's real solver), for N^3/step^2 work in all
-    and memory that scales with (N/step)^2.  Each eigenvector is tagged on
-    its own class's sites; values and tags come class by class, and the
-    eigenvalues are always complex.
+    coefficient offsets (1 for an on-site walk), so its section is the
+    direct sum of these dense blocks of size N/step.  Each is scattered
+    straight from the gauged entries of :func:`_gauged_section` (so walk
+    sections reach LAPACK's real solver), and only one block is built at a
+    time: memory scales with (N/step)^2.
     """
     _check_dense_budget(window)
-    _, walk_op = build_pair(params)
     section = _gauged_section(walk_op, window)
     entries = section.matrix
     step = int(np.gcd.reduce([y for _, _, y in walk_op.coeff])) or 1
     residue = section.sites % step
     local = np.zeros(len(residue), dtype=int)        # position of each row within its class
     entry_residue = residue[entries.row]
-    values, tags = [], []
     for r in range(step):
         members = np.flatnonzero(residue == r)
         local[members] = np.arange(len(members))
         pick = entry_residue == r
         block = np.zeros((len(members), len(members)), dtype=entries.dtype)
         block[local[entries.row[pick]], local[entries.col[pick]]] = entries.data[pick]
+        yield section.sites[members], block
+
+
+def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
+    """All eigenvalues of the dense walk section, tagged by edge localisation.
+
+    One eigensolve per residue class (:func:`_class_blocks`), for
+    N^3/step^2 work in all.  Each eigenvector is tagged on its own class's
+    sites; values and tags come class by class, and the eigenvalues are
+    always complex.
+    """
+    walk_op = _walk_operator(params)
+    values, tags = [], []
+    for sites, block in _class_blocks(walk_op, window):
         class_values, vectors = np.linalg.eig(block)
         values.append(class_values)
-        tags.append(_localisation_tags(_SiteSection(window, section.sites[members], block),
-                                       vectors, 2 * max(1, walk_op.bandwidth)))
+        tags.append(_localisation_tags(_SiteSection(window, sites, block), vectors,
+                                       2 * max(1, walk_op.bandwidth)))
     return TruncatedSpectrum(window, np.concatenate(values).astype(complex, copy=False),
                              np.concatenate(tags))
+
+
+def section_eigenvalues(params, window: int) -> np.ndarray:
+    """The eigenvalues of :func:`truncated_spectrum`, from eigenvalue-only solves.
+
+    No eigenvectors means no edge tags; the values agree with
+    :func:`truncated_spectrum`'s as a multiset up to roundoff, but not
+    necessarily in order.
+    """
+    values = [np.linalg.eigvals(block) for _, block in _class_blocks(_walk_operator(params), window)]
+    return np.concatenate(values).astype(complex, copy=False)
 
 
 @dataclass
@@ -369,6 +395,9 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
     off_diagonal = magnitudes.sum(axis=1) + columns - 2.0 * diag
     if np.min(diag - 0.5 * off_diagonal) > KERNEL_THRESHOLD:
         return np.array([np.min(columns)])
+    # imported here, as in every section builder: index and spectrum load numpy only
+    from scipy.linalg import get_lapack_funcs
+
     u = _DILATION_BANDWIDTH
     band = _dilation_band(a)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
@@ -438,6 +467,9 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     size = inner.shape[0]
     order = np.argsort(np.arange(size) % abs(params.m), kind="stable")
     inner = inner[order][:, order].tocoo()
+    # imported here, as in every section builder: index and spectrum load numpy only
+    from scipy import sparse
+
     vals = _real_gauge(inner.row, inner.col + size, inner.data, 2 * size)
     tridiagonal = sparse.csr_array((vals, (inner.row, inner.col)), shape=(size, size))
     return KernelWitness(window, _near_kernel_singular_values(tridiagonal, 4 * k + 4))

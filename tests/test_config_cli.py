@@ -526,19 +526,55 @@ def test_every_benchmark_trace_target_is_a_library_callable(monkeypatch):
         assert list(inspect.signature(getattr(verify_module, name)).parameters)[1] == "window"
 
 
-def test_cli_import_loads_no_further_scipy_subpackages():
-    # every subcommand pays for these imports, and scipy.sparse.csgraph
-    # alone would add 45 modules
-    code = ("import sys, chiralwalk.cli; "
-            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})), "
-            "'scipy.sparse.csgraph' in sys.modules)")
+def fresh_stdout(code):
+    """Stdout of ``code`` run in a fresh interpreter on this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out[-1] == "False"
-    assert set(out[:-1]) <= {"linalg", "sparse", "version"}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def scipy_modules_after(code):
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return set(fresh_stdout(code).splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_further_scipy_subpackages():
+    # the closed forms need numpy only; scipy loads where a finite section is built
+    assert scipy_modules_after("import chiralwalk") == set()
+    assert scipy_modules_after("import chiralwalk.cli") == set()
+
+
+@pytest.mark.parametrize("command", ["index", "spectrum"])
+def test_closed_form_commands_load_no_scipy(command):
+    code = ("import contextlib, io\nfrom chiralwalk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main([{command!r}, path]) for path in {[UM1, UM2, MKO]!r}]\n"
+            "assert codes == [0, 0, 0], codes")
+    assert scipy_modules_after(code) == set()
+
+
+def test_the_parser_is_built_on_the_first_call_and_reused():
+    code = ("import contextlib, io, os\nimport chiralwalk.cli as cli\n"
+            "built = cli._build_parser.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main(['index', {UM1!r}]); cli.main(['spectrum', {UM1!r}, '--out', os.devnull])\n"
+            "info = cli._build_parser.cache_info()\n"
+            "print(built, info.misses, info.hits)")
+    assert fresh_stdout(code).split() == ["0", "1", "1"]
+
+
+def test_verify_loads_only_scipy_sparse_and_linalg():
+    # scipy.sparse.csgraph alone would add 45 modules
+    code = ("import contextlib, io\nfrom chiralwalk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['verify', {UM2!r}, '--window', '40']) == 0")
+    loaded = scipy_modules_after(code)
+    assert "scipy.sparse.csgraph" not in loaded
+    public = {name.split(".")[1] for name in loaded
+              if "." in name and not name.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"linalg", "sparse"}
 
 
 def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):

@@ -329,9 +329,10 @@ unit = st.sampled_from([-1.0, 1.0])
 
 # |p| in [0.2, 0.85] and |gamma| <= 0.6 keep |a| = |p_gamma| - margin inside
 # (0, 0.95] for |margin| <= 0.1, and there min |f| > 1.01 |margin| (1.02 near
-# the tie), so a margin of 1e-8 still clears the 1e-8 guard.
+# the tie), so a margin just above the tie tolerance clears the roundoff guard
+# (1e3 eps times the symbol's scale) by orders of magnitude.
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(m=st.sampled_from([-3, -2, -1, 1, 2, 3]), decade=st.floats(-8.0, -1.0),
+@given(m=st.sampled_from([-3, -2, -1, 1, 2, 3]), decade=st.floats(-9.9, -1.0),
        margin_sign=unit, p=st.floats(0.2, 0.85), p_sign=unit, gamma=st.floats(-0.6, 0.6),
        a_sign=unit, at_plus=st.booleans(),
        other_p=st.floats(-0.95, 0.95), other_gamma=st.floats(-0.8, 0.8),
@@ -370,11 +371,27 @@ def test_numeric_winding_near_the_boundary_evaluates_few_points(monkeypatch):
     assert sum(evaluated) < 20_000
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("gamma", [0.0, 0.4, 3.0])
+def test_every_margin_above_the_tie_gets_the_closed_form_index(m, gamma):
+    # min |f| is 1.15 to 1.37 times these margins at gamma 0 and 0.4; an
+    # absolute guard at |f| <= 1e-8 refused them all there
+    for margin in (1.1e-10, 2e-10, 3e-10, 5e-10, 1e-9, 2e-9, 3e-9):
+        params = near_boundary_params(m, margin, 0.5, gamma)
+        assert compute_index(params).analytic_index == 2 * m
+
+
 def test_numeric_winding_refuses_within_the_guard():
-    params = near_boundary_params(1, 1e-9, 0.5, 0.3)
-    assert is_fredholm(*endpoints(params))[0]
-    with pytest.raises(SymbolNearZeroError, match=r"min \|f\|"):
-        compute_index(params)
+    # f = z - i c traces the unit circle about -i c, so min |f| = c - 1 at z = i
+    # (t = pi / 2, a grid point), and the symbol's scale is 2 + 2c
+    def circle(distance):
+        return SymbolFunction(star=PLUS_INF, m=1, c=1.0 + distance, leading=-2.0j, trailing=0.0)
+
+    guard = chiralwalk.index.ROUNDOFF_GUARD * np.finfo(float).eps * 4.0
+    with pytest.raises(SymbolNearZeroError, match=r"min \|f\| = .* is roundoff"):
+        winding_numeric(circle(0.5 * guard))
+    assert winding_numeric(circle(2.0 * guard)) == 0
+    assert winding_numeric(circle(-2.0 * guard)) == 1
 
 
 def um_config(params):
@@ -389,14 +406,16 @@ def um_config(params):
             "profiles": {name: node(getattr(params, name)) for name in names}}
 
 
-def test_index_command_refusal_exits_3_with_one_line(tmp_path, capsys):
+def test_index_command_refusal_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # margin 1e-9 needs bisection beyond the first grid of 64 (|m| + 1) = 128 samples
+    monkeypatch.setattr(chiralwalk.index, "MAX_SAMPLES", 128)
     path = tmp_path / "near.json"
     document = um_config(near_boundary_params(1, 1e-9, 0.5, 0.3))
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main(["index", str(path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: min |f| = ")
+    assert err[0] == "error: certifying the winding needs more than 128 samples"
 
 
 def test_index_command_route_disagreement_exits_3_with_one_line(monkeypatch, capsys):

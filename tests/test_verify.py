@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
+import chiralwalk.plotting
 from chiralwalk import verify as verify_module
 from chiralwalk import (
     InvalidParameters,
@@ -255,7 +256,7 @@ def test_truncation_budget():
 
 def operator_spectrum(monkeypatch, op, window):
     """:func:`truncated_spectrum` with ``op`` standing in for the walk."""
-    monkeypatch.setattr(verify_module, "build_pair", lambda params: (None, op))
+    monkeypatch.setattr(verify_module, "_walk_operator", lambda params: op)
     return truncated_spectrum(None, window)
 
 
@@ -351,6 +352,45 @@ def test_an_all_real_spectrum_still_comes_back_complex(monkeypatch):
     assert values.dtype == np.complex128 and not values.imag.any()
     exact = 2 * np.cos(np.pi * np.arange(1, 42) / 42)
     assert np.max(np.abs(np.sort(values.real) - np.sort(exact))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko", "twin"])
+def test_the_plot_overlay_is_the_truncated_spectrum_from_eigenvalue_only_solves(
+        tmp_path, capsys, monkeypatch, name):
+    if name == "twin":                                  # reference_um_m1 at gamma 0
+        doc = json.loads((CONFIG_DIR / "reference_um_m1.json").read_text(encoding="utf-8"))
+        doc["profiles"]["gamma"] = {"left": 0.0, "right": 0.0}
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        path = CONFIG_DIR / f"{name}.json"
+    window = 40
+    expected = truncated_spectrum(load_model_config(path).build(), window).eigenvalues
+    overlays = []
+    monkeypatch.setattr(chiralwalk.plotting, "write_spectral_svg",
+                        lambda out, sets, overlay, title: overlays.append(overlay))
+    eig = count_calls(monkeypatch, np.linalg, "eig")
+    assert main(["plot", str(path), "--overlay-window", str(window),
+                 "--out", str(tmp_path / "figure.svg")]) == 0
+    capsys.readouterr()
+    assert eig == []
+    (overlay,) = overlays
+    rows, cols = linear_sum_assignment(np.abs(overlay[:, None] - expected[None, :]))
+    assert len(overlay) == len(expected) == len(rows)
+    assert np.max(np.abs(overlay[rows] - expected[cols])) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed edge width of 2 sites misses an edge state "
+                                       "at mean site W - 5 (ROADMAP item 5)")
+@pytest.mark.parametrize("window", [100, 150, 200])
+def test_the_edge_state_near_0_8987_is_tagged_edge_localised(window):
+    # on reference_um_m1 the eigenvector at 0.898658 sits at the right edge and
+    # holds 0.84 of its mass within 10 sites of it, but 0.31 within 2
+    params = load_model_config(CONFIG_DIR / "reference_um_m1.json").build()
+    ts = truncated_spectrum(params, window)
+    k = int(np.argmin(np.abs(ts.eigenvalues - 0.898658)))
+    assert abs(ts.eigenvalues[k] - 0.898658) < 1e-6
+    assert ts.boundary_affected[k]
 
 
 @pytest.mark.parametrize("name", ["reference_um_m1", "reference_mko"])
