@@ -191,9 +191,10 @@ def _decimal(x: float) -> str:
 def _cmd_spectrum(args) -> int:
     params = _load(args).build()
     um = reduce_to_um(params)
+    # essential_spectrum refuses a bad resolution, so it runs before the first print
+    result = essential_spectrum(um, args.resolution)
     if um is not params:
         print("two-step model reduced to the equivalent m = 2 instance")
-    result = essential_spectrum(um, args.resolution)
     for ep in (result.minus, result.plus):
         d = ep.data
         print(f"endpoint {ep.star}: case {ep.spectral_set.case_tag}, s = {d.s:+d}, "

@@ -5,11 +5,13 @@ An operator is stored as a finite family of coefficient profiles
 ``sum_y  a[i,j,y](x) * (shift^y)``, where ``(shift^y psi)(x) = psi(x + y)``.
 All coefficients are eventually constant (:class:`ParameterProfile`), so
 composition, adjoints and endpoint limits are computed exactly at the
-coefficient level.  Matrices enter only through finite sections, assembled
-from the same vectorised entries (:meth:`BandedOperator.section_triplets`)
-either as a sparse CSR array (:meth:`BandedOperator.sparse_section`, for
-banded products and eigensolves) or as a dense array
-(:meth:`BandedOperator.finite_section`, for full spectra).
+coefficient level.  Matrices enter only through finite sections, all built
+from the same vectorised entries (:meth:`BandedOperator.section_triplets`):
+:mod:`chiralwalk.verify` assembles its eigensolves and its kernel witness
+from those entries directly, :meth:`BandedOperator.sparse_section` gives
+them as a sparse CSR array (for the banded products of the residuals), and
+:meth:`BandedOperator.finite_section` as a dense array (the dense reference
+the tests compare against).
 """
 
 from __future__ import annotations

@@ -9,19 +9,20 @@ compare sparse matrix products of finite sections on interior rows, and the
 witness factors the banded Hermitian dilation of the off-diagonal block once
 and runs a block inverse iteration that returns the near-kernel singular
 values plus an upper bound on the next one, unless a diagonal-dominance bound
-already shows that there is no near-kernel.  The off-diagonal block couples
-only sites m apart, so ordering its rows and columns by residue class mod
-|m| makes it tridiagonal, and a unitary diagonal gauge on each side makes it
-real without changing its singular values: the witness then runs LAPACK's
-real band solver (``dgbtrf``) on a dilation of bandwidth 3.  Dense matrices
-appear only where a full spectrum is needed (truncated spectra, which also
-give the bound states), and :data:`DENSE_BUDGET` bounds their window.  The
-walk itself couples only sites ``step`` apart, ``step`` the gcd of its
-coefficient offsets (m for an m-step walk, 2 for the two-step walk), so its
-section is a direct sum of one block per residue class of the sites mod
-``step``: ``step`` dense eigensolves of size N/step replace one of size N,
-and the dense memory scales with (N/step)^2.  On a 2-CPU x86_64 host this
-took the m = 2 reference section from 0.62 to 0.26 s at window 200.
+already shows that there is no near-kernel.  Dense matrices appear only
+where a full spectrum is needed (truncated spectra, which also give the
+bound states), and :data:`DENSE_BUDGET` bounds their window.
+
+Both the walk and the off-diagonal block couple only sites ``step`` apart,
+``step`` the gcd of their coefficient offsets (m for an m-step walk and its
+block, 2 for the two-step walk).  One assembly, :func:`_class_ordered`,
+orders a section's rows and columns by residue class of the sites mod
+``step``, which makes the section a direct sum of one block per class.  The
+walk's section is then solved by ``step`` dense eigensolves of size N/step,
+and its dense memory scales with (N/step)^2.  The block's classes are
+tridiagonal, and a unitary diagonal gauge on each side makes them real
+without changing the singular values: the witness runs LAPACK's real band
+solver (``dgbtrf``) on a dilation of bandwidth 3.
 
 Walk sections are solved in real arithmetic.  The grading and the coin are
 Hermitian and couple the sites along disjoint paths, so a diagonal phase
@@ -152,9 +153,13 @@ class TruncatedSpectrum:
         return self.eigenvalues[~self.boundary_affected]
 
 
-def _localisation_tags(section, vectors: np.ndarray, edge_width: int) -> np.ndarray:
-    """Boundary tags per eigenvector: >= half the mass within edge_width of the edge."""
-    near_edge = np.abs(section.block_sites()) > section.window - edge_width
+def _localisation_tags(sites: np.ndarray, window: int, vectors: np.ndarray,
+                       edge_width: int) -> np.ndarray:
+    """Boundary tags per eigenvector: >= half the mass within edge_width of the edge.
+
+    Row i of ``vectors`` sits at lattice site ``sites[i]`` of [-window, window].
+    """
+    near_edge = np.abs(sites) > window - edge_width
     mass = np.abs(vectors) ** 2
     total = mass.sum(axis=0)
     edge_fraction = mass[near_edge].sum(axis=0) / np.where(total == 0, 1.0, total)
@@ -221,63 +226,45 @@ def _real_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int)
     return vals
 
 
-@dataclass
-class _SiteSection:
-    """Entries of a section on [-window, window] whose rows and columns sit at ``sites``.
+def _class_ordered(op: BandedOperator, window: int):
+    """Entries of ``op``'s section with rows and columns ordered by residue class mod ``step``.
 
-    It has the ``window`` and ``block_sites`` of a :class:`FiniteSection`, so
-    :func:`_localisation_tags` reads it too, but ``sites`` can be a subset
-    of the window: one residue class of it.
+    ``op`` couples only sites ``step`` apart, ``step`` the gcd of its
+    coefficient offsets (1 when it has none or only on-site ones), so this
+    permutation makes its section the direct sum of one block per class.
+    Returns ``(sites, starts, rows, cols, vals)``: the lattice site of each
+    relabelled row, the ``step + 1`` class boundaries, and the
+    :meth:`~BandedOperator.section_triplets` entries relabelled.  The sort
+    is stable, so within a class the sites stay in ascending order.
     """
-
-    window: int
-    sites: np.ndarray                  # lattice site of each row
-    matrix: object                     # a dense block or a scipy.sparse COO array
-
-    def block_sites(self) -> np.ndarray:
-        return self.sites
-
-
-def _gauged_section(op: BandedOperator, window: int) -> _SiteSection:
-    """Sparse (COO) section of ``op``, real after :func:`_real_gauge` when that gauge makes it so.
-
-    The gauged matrix D* A D is similar to A, so it has the same eigenvalues;
-    its eigenvectors are D* v, with the same |v|.
-    """
-    # imported here, as in every section builder: index and spectrum load numpy only
-    from scipy import sparse
-
-    size = op.block_size * (2 * window + 1)
+    offsets = np.array([y for _, _, y in op.coeff], dtype=int)
+    step = int(np.gcd.reduce(offsets)) or 1
     rows, cols, vals = op.section_triplets(window)
-    vals = _real_gauge(rows, cols, vals, size)
     sites = np.repeat(np.arange(-window, window + 1), op.block_size)
-    return _SiteSection(window, sites, sparse.coo_array((vals, (rows, cols)), shape=(size, size)))
+    order = np.argsort(sites % step, kind="stable")
+    position = np.argsort(order)                     # new index of each old row
+    sites = sites[order]
+    starts = np.searchsorted(sites % step, np.arange(step + 1))
+    return sites, starts, position[rows], position[cols], vals
 
 
 def _class_blocks(walk_op: BandedOperator, window: int):
-    """Yield ``(sites, block)`` for each residue class of the walk section's sites mod ``step``.
+    """Yield ``(sites, block)`` for each residue class of :func:`_class_ordered`.
 
-    The walk couples only sites ``step`` apart, ``step`` the gcd of its
-    coefficient offsets (1 for an on-site walk), so its section is the
-    direct sum of these dense blocks of size N/step.  Each is scattered
-    straight from the gauged entries of :func:`_gauged_section` (so walk
-    sections reach LAPACK's real solver), and only one block is built at a
-    time: memory scales with (N/step)^2.
+    Each dense block of size N/step is scattered straight from the entries
+    gauged by :func:`_real_gauge` (so walk sections reach LAPACK's real
+    solver; the gauged D* A D is similar to A, with eigenvectors D* v of
+    the same modulus), and only one block is built at a time: memory scales
+    with (N/step)^2.
     """
     _check_dense_budget(window)
-    section = _gauged_section(walk_op, window)
-    entries = section.matrix
-    step = int(np.gcd.reduce([y for _, _, y in walk_op.coeff])) or 1
-    residue = section.sites % step
-    local = np.zeros(len(residue), dtype=int)        # position of each row within its class
-    entry_residue = residue[entries.row]
-    for r in range(step):
-        members = np.flatnonzero(residue == r)
-        local[members] = np.arange(len(members))
-        pick = entry_residue == r
-        block = np.zeros((len(members), len(members)), dtype=entries.dtype)
-        block[local[entries.row[pick]], local[entries.col[pick]]] = entries.data[pick]
-        yield section.sites[members], block
+    sites, starts, rows, cols, vals = _class_ordered(walk_op, window)
+    vals = _real_gauge(rows, cols, vals, len(sites))
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        pick = (rows >= lo) & (rows < hi)
+        block = np.zeros((hi - lo, hi - lo), dtype=vals.dtype)
+        block[rows[pick] - lo, cols[pick] - lo] = vals[pick]
+        yield sites[lo:hi], block
 
 
 def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
@@ -293,8 +280,7 @@ def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
     for sites, block in _class_blocks(walk_op, window):
         class_values, vectors = np.linalg.eig(block)
         values.append(class_values)
-        tags.append(_localisation_tags(_SiteSection(window, sites, block), vectors,
-                                       2 * max(1, walk_op.bandwidth)))
+        tags.append(_localisation_tags(sites, window, vectors, 2 * max(1, walk_op.bandwidth)))
     return TruncatedSpectrum(window, np.concatenate(values).astype(complex, copy=False),
                              np.concatenate(tags))
 
@@ -451,27 +437,27 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     :class:`VerificationError` if the block iteration does not settle.
 
     The block has entries only at offsets +m, 0 and -m, so ordering its rows
-    and columns by residue class mod |m| (a permutation, which keeps the
-    singular values) splits it into |m| tridiagonal blocks.  Those are then
-    gauged by :func:`_real_gauge` with rows and columns as separate nodes:
-    D1* A D2 with unitary diagonal D1, D2 has the singular values of A, and
-    it is real when every 4-cycle of the pattern has a real product.  The
-    block's does: its diagonal is real up to the global factor i/2, and
-    up(x) down(x + m) ~ |beta|^2.
+    and columns by residue class mod |m| (:func:`_class_ordered`, a
+    permutation, which keeps the singular values) splits it into |m|
+    tridiagonal blocks.  The interior rows and columns [k, 2 window + 1 - k)
+    of the section, k the bandwidth, are the section at window - k.  The
+    blocks are then gauged by :func:`_real_gauge` with rows and columns as
+    separate nodes: D1* A D2 with unitary diagonal D1, D2 has the singular
+    values of A, and it is real when every 4-cycle of the pattern has a real
+    product.  The block's does: its diagonal is real up to the global factor
+    i/2, and up(x) down(x + m) ~ |beta|^2.
     """
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
     block = offdiag_block(params)
     k = block.bandwidth
-    inner = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
-    size = inner.shape[0]
-    order = np.argsort(np.arange(size) % abs(params.m), kind="stable")
-    inner = inner[order][:, order].tocoo()
+    _, _, rows, cols, vals = _class_ordered(block, window - k)
+    size = block.block_size * (2 * (window - k) + 1)
     # imported here, as in every section builder: index and spectrum load numpy only
     from scipy import sparse
 
-    vals = _real_gauge(inner.row, inner.col + size, inner.data, 2 * size)
-    tridiagonal = sparse.csr_array((vals, (inner.row, inner.col)), shape=(size, size))
+    vals = _real_gauge(rows, cols + size, vals, 2 * size)
+    tridiagonal = sparse.csr_array((vals, (rows, cols)), shape=(size, size))
     return KernelWitness(window, _near_kernel_singular_values(tridiagonal, 4 * k + 4))
 
 

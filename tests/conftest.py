@@ -64,7 +64,9 @@ def unitary_mapping_check(params, window: int) -> float:
     q_op = (walk_op - walk_op.adjoint()).scaled(1.0 / 2.0j)
     section = q_op.finite_section(window)
     values, vectors = np.linalg.eigh(section.matrix)
-    interior = values[~_localisation_tags(section, vectors, 2 * max(1, q_op.bandwidth))]
+    tags = _localisation_tags(section.block_sites(), section.window, vectors,
+                              2 * max(1, q_op.bandwidth))
+    interior = values[~tags]
     if len(interior) == 0:
         return 0.0
     return float(np.abs(interior[:, None] - mapped[None, :]).min(axis=1).max())

@@ -52,6 +52,12 @@ def um_document(**overrides):
     return doc
 
 
+def mko_document(**options):
+    doc = json.loads(Path(MKO).read_text(encoding="utf-8"))
+    doc["options"].update(options)
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -296,6 +302,8 @@ def test_bad_options_and_tolerances_exit_1_with_one_line(tmp_path, capsys, comma
     ("spectrum", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
     ("verify", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
     ("plot", duplicate_site_document(), [], "overrides[1].site: site -5 is listed twice"),
+    ("spectrum", mko_document(resolution=10 ** 30), [], f"resolution must be at most {1 << 20}"),
+    ("spectrum", mko_document(resolution=100), [], "resolution must be at least 256"),
 ])
 def test_inputs_beyond_the_limits_exit_1_before_any_output(tmp_path, capsys, monkeypatch, command,
                                                           document, flags, named):
@@ -546,11 +554,16 @@ def test_cli_import_loads_no_further_scipy_subpackages():
     assert scipy_modules_after("import chiralwalk.cli") == set()
 
 
-@pytest.mark.parametrize("command", ["index", "spectrum"])
-def test_closed_form_commands_load_no_scipy(command):
+@pytest.mark.parametrize("tail", [
+    ["index"],
+    ["spectrum"],
+    # the overlay's class blocks are scattered and solved by numpy alone
+    ["plot", "--overlay-window", "40", "--out", os.devnull],
+], ids=["index", "spectrum", "plot-overlay"])
+def test_closed_form_commands_load_no_scipy(tail):
     code = ("import contextlib, io\nfrom chiralwalk.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main([{command!r}, path]) for path in {[UM1, UM2, MKO]!r}]\n"
+            f"    codes = [main([{tail[0]!r}, path, *{tail[1:]!r}]) for path in {[UM1, UM2, MKO]!r}]\n"
             "assert codes == [0, 0, 0], codes")
     assert scipy_modules_after(code) == set()
 

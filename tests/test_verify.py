@@ -266,8 +266,14 @@ def assert_eigensolve_matches_the_complex_solve(op, window, values, tags):
     reference, vectors = np.linalg.eig(section.matrix)
     rows, cols = linear_sum_assignment(np.abs(values[:, None] - reference[None, :]))
     assert np.max(np.abs(values[rows] - reference[cols])) < 1e-10
-    reference_tags = verify_module._localisation_tags(section, vectors, 2 * max(1, op.bandwidth))
+    reference_tags = verify_module._localisation_tags(section.block_sites(), section.window,
+                                                      vectors, 2 * max(1, op.bandwidth))
     assert np.array_equal(tags[rows], reference_tags[cols])
+
+
+def block_dtypes(op, window):
+    """The dtypes of the class blocks the walk section ``op`` is solved in."""
+    return {block.dtype.type for _, block in verify_module._class_blocks(op, window)}
 
 
 @st.composite
@@ -294,7 +300,7 @@ def test_walk_sections_are_solved_in_real_arithmetic(section):
     assert np.allclose(np.abs(d), 1.0, rtol=0.0, atol=1e-12)
     gauged = vals * d[cols] / d[rows]
     assert np.max(np.abs(gauged.imag)) <= 8 * np.finfo(float).eps * np.max(np.abs(vals))
-    assert verify_module._gauged_section(walk_op, window).matrix.dtype == np.float64
+    assert block_dtypes(walk_op, window) == {np.float64}
     ts = truncated_spectrum(params, window)
     assert_eigensolve_matches_the_complex_solve(walk_op, window, ts.eigenvalues,
                                                 ts.boundary_affected)
@@ -316,6 +322,36 @@ def test_a_walk_section_is_solved_once_per_residue_class(monkeypatch, m):
     assert len(ts.eigenvalues) == len(ts.boundary_affected) == 2 * sites
 
 
+@pytest.mark.parametrize("name, step", [("walk m=3", 3), ("two-step walk", 2), ("block m=-3", 3)])
+def test_the_class_ordered_section_is_a_permutation_of_the_section(name, step):
+    op = {"walk m=3": walk(reference_params(m=3)),
+          "two-step walk": mko_walk(reference_mko_params()),
+          "block m=-3": offdiag_block(reference_params(m=-3))}[name]
+    window, n = 20, op.block_size
+    sites, starts, rows, cols, vals = verify_module._class_ordered(op, window)
+    assert len(starts) == step + 1 and starts[0] == 0 and starts[-1] == len(sites)
+    # class r holds the sites = r mod step in ascending order, n rows per site
+    site_range = np.arange(-window, window + 1)
+    for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        assert np.array_equal(sites[lo:hi], np.repeat(site_range[site_range % step == r], n))
+    assert np.array_equal(np.searchsorted(starts, rows, side="right"),
+                          np.searchsorted(starts, cols, side="right"))
+    # scattered back to the site order, the entries are the dense section bit for bit
+    original = (sites + window) * n + np.arange(len(sites)) % n
+    assert np.array_equal(np.sort(original), np.arange(len(sites)))
+    dense = np.zeros((len(sites), len(sites)), dtype=complex)
+    dense[original[rows], original[cols]] += vals
+    assert dense.tobytes() == op.finite_section(window).matrix.tobytes()
+
+
+def test_an_operator_without_coefficients_is_one_class(monkeypatch):
+    # the gcd of no offsets is 0, which reads as step 1
+    _, starts, rows, _, _ = verify_module._class_ordered(BandedOperator(2), 3)
+    assert starts.tolist() == [0, 14] and len(rows) == 0
+    values = operator_spectrum(monkeypatch, BandedOperator(2), 3).eigenvalues
+    assert len(values) == 14 and not values.any()
+
+
 def test_the_phase_gauge_stays_real_to_8_eps_at_the_dense_budget():
     # a breadth-first sweep closes cycles through the root, so its roundoff
     # grows with the window: 12-27 eps on these draws at window 2000
@@ -332,7 +368,7 @@ def test_a_section_no_gauge_makes_real_takes_the_complex_solve(monkeypatch):
     # a diagonal entry is gauge-invariant, so 0.3j stays imaginary
     op = BandedOperator(2, {(0, 0, 0): 0.3j, (0, 1, 0): 0.8, (1, 0, 0): 0.5,
                             (0, 1, 1): 0.6 * np.exp(0.4j), (1, 0, -1): -0.2, (1, 1, 0): 0.1})
-    assert verify_module._gauged_section(op, 30).matrix.dtype == np.complex128
+    assert block_dtypes(op, 30) == {np.complex128}
     ts = operator_spectrum(monkeypatch, op, 30)
     assert_eigensolve_matches_the_complex_solve(op, 30, ts.eigenvalues, ts.boundary_affected)
 
@@ -347,7 +383,7 @@ def test_truncated_spectrum_eigenvalues_are_complex(name):
 def test_an_all_real_spectrum_still_comes_back_complex(monkeypatch):
     # a real symmetric tridiagonal section: LAPACK's real solver returns floats
     op = BandedOperator.shift(1) + BandedOperator.shift(-1)
-    assert verify_module._gauged_section(op, 20).matrix.dtype == np.float64
+    assert block_dtypes(op, 20) == {np.float64}
     values = operator_spectrum(monkeypatch, op, 20).eigenvalues
     assert values.dtype == np.complex128 and not values.imag.any()
     exact = 2 * np.cos(np.pi * np.arange(1, 42) / 42)
@@ -404,7 +440,7 @@ def test_the_phase_gauge_does_not_overflow_at_the_gain_limit(tmp_path, capsys, n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         walk_op = build_pair(load_model_config(path).build())[1]
-        assert verify_module._gauged_section(walk_op, 60).matrix.dtype == np.float64
+        assert block_dtypes(walk_op, 60) == {np.float64}
         assert main(["plot", str(path), "--overlay-window", "60",
                      "--out", str(tmp_path / "figure.svg")]) == 0
     assert capsys.readouterr().err == ""
@@ -413,6 +449,21 @@ def test_the_phase_gauge_does_not_overflow_at_the_gain_limit(tmp_path, capsys, n
 # ---------------------------------------------------------------------------
 # kernel witnesses
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko",
+                                  "m=3", "m=-3"])
+def test_the_interior_of_a_block_section_is_the_section_at_the_inner_window(name):
+    # the kernel witness assembles the window - k section for the interior
+    # rows and columns [k, 2 window + 1 - k) of the window section
+    if name.startswith("m="):
+        um = reference_params(m=int(name[2:]))
+    else:
+        um = reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
+    block = offdiag_block(um)
+    k, window = block.bandwidth, 50
+    interior = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
+    assert interior.toarray().tobytes() == block.sparse_section(window - k).toarray().tobytes()
+
 
 def test_witness_counts_grow_to_the_index_and_stay_monotone():
     params = reference_params()           # index 2
