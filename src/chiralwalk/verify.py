@@ -6,10 +6,12 @@ conjugate transposes only (the section of an adjoint is the conjugate
 transpose of the section).  Residuals and the kernel witness use only banded
 (sparse) algebra, so their cost grows linearly in the window: residuals
 compare sparse matrix products of finite sections on interior rows, and the
-witness factors the banded Hermitian dilation of the off-diagonal block once
-and runs a block inverse iteration that returns the near-kernel singular
-values plus an upper bound on the next one, unless a diagonal-dominance bound
-already shows that there is no near-kernel.  Dense matrices appear only
+witness factors the banded Hermitian dilation H of the off-diagonal block
+once, shifted by half the kernel threshold, and runs a block inverse
+iteration on (H^2 - s^2)^-1 (two solves on that one factorisation per step)
+that returns the near-kernel singular values plus an upper bound on the next
+one, unless a diagonal-dominance bound already shows that there is no
+near-kernel.  Dense matrices appear only
 where a full spectrum is needed (truncated spectra, which also give the
 bound states), and :data:`DENSE_BUDGET` bounds their window.
 
@@ -76,7 +78,7 @@ from .models import (
 DENSE_BUDGET = 2000
 KERNEL_THRESHOLD = 1e-6
 EIGENVALUE_TOL = 1e-6
-WITNESS_SHIFT = 1e-2
+WITNESS_SHIFT = KERNEL_THRESHOLD / 2
 WITNESS_RESIDUAL_TOL = 1e-12
 MAX_WITNESS_ITERATIONS = 500
 # bandwidth of the interleaved dilation of a tridiagonal block (see _dilation_band)
@@ -333,33 +335,39 @@ def _dilation_band(a) -> np.ndarray:
 def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
     """Singular values of the square sparse tridiagonal ``a`` below ``KERNEL_THRESHOLD``, then one bound.
 
-    Block inverse iteration on the dilation H of :func:`_dilation_band`,
-    factored once at shift ``WITNESS_SHIFT`` (at 0, H is numerically
-    singular).  Each step is one banded solve, a QR of the block's left
-    (even) rows and one of its right (odd) rows, and Rayleigh-Ritz of H on
-    the span of both.  That span is closed under (x, y) -> (x, -y), so the
-    Ritz values are exact +-pairs, the singular values s of left* a right;
-    Ritz vectors of a general subspace can mix the +s and -s eigenvectors
-    into a value near 0 that settles only as fast as the two separate.  The
-    factorisation, the solves and the block all take the dtype of ``a``, so
-    a real ``a`` runs in real arithmetic (``dgbtrf``/``dgbtrs``).
+    Block inverse iteration on (H^2 - s^2)^-1, H the dilation of
+    :func:`_dilation_band` and s = ``WITNESS_SHIFT``, factored once as
+    H - s (at 0, H is numerically singular).  J = diag(1, -1, 1, ...) in
+    the interleaved order anticommutes with H, so (H + s)^-1 =
+    -J (H - s)^-1 J, and each step is two banded solves on the one LU, a QR
+    of the block's left (even) rows and one of its right (odd) rows, and
+    Rayleigh-Ritz of H on the span of both: the Ritz values are the
+    singular values of left* a right.  The factorisation, the solves and
+    the block all take the dtype of ``a``, so a real ``a`` runs in real
+    arithmetic (``dgbtrf``/``dgbtrs``).
 
-    Singular values below 2 * ``WITNESS_SHIFT`` sit nearer the shift than
-    the near-kernel, so the iteration fills the block with them first; a
-    block that holds only such values may miss part of the near-kernel.
+    H^2 = diag(a a*, a* a), so the two halves never mix: the left half
+    iterates on (a a* - s^2)^-1 and the right on (a* a - s^2)^-1.  With
+    s <= t / sqrt 2, t = ``KERNEL_THRESHOLD``, every singular value below t
+    is amplified at least as much as every value above it, and the
+    near-kernel gains about sigma_next^2 / s^2 per step over the rest, so
+    it settles in one or two steps.  Values come from the compressed ``a``,
+    not from a* a, so none below ~1e-8 is lost to squaring.
+
     The start block (``start_columns`` columns) comes from a fixed seed and
-    doubles while every Ritz value is below 2 * ``WITNESS_SHIFT``.  The
-    iteration stops once (i) every near-kernel pair has residual <=
-    ``WITNESS_RESIDUAL_TOL``, (ii) every other Ritz value s has
-    s - residual > ``KERNEL_THRESHOLD``, and (iii) some Ritz pair s with
-    residual r has s - 2 r > 2 * ``WITNESS_SHIFT``: its vector has less
-    than half its weight below 2 * ``WITNESS_SHIFT``, so the block is not
-    saturated by values that outrank the near-kernel.  Converging such a
-    pair to ``WITNESS_RESIDUAL_TOL`` instead takes hundreds of steps when the
-    values above the gap form a band-edge cluster.  It raises
-    :class:`VerificationError` when the block reaches the section size or
-    after ``MAX_WITNESS_ITERATIONS`` steps.  Squaring into a* a instead
-    would lose every singular value below ~1e-8.
+    doubles while every Ritz value is below t.  The halves converge
+    separately, so the Ritz pairs above the near-kernel need not align
+    across them.  The iteration stops once (i) every near-kernel pair has
+    residual <= ``WITNESS_RESIDUAL_TOL``, (ii) every other pair is
+    certified above t, by its two-sided residual r (s - r > t) or by the
+    residual r2 = ||a* a y - rho y||, rho = ||a y||^2, of a* a at its right
+    vector y (rho - r2 > t^2), and (iii) some right vector has rho - 2 r2 >
+    t^2: its weight below t is at most (r2 / (rho - t^2))^2 < 1/4, so the
+    block is not saturated by values that outrank the near-kernel.  Both
+    certificates are kept: the one-sided test squares, so its roundoff is
+    about eps ||a||^2, which exceeds t^2 once ||a|| is above ~70.  It
+    raises :class:`VerificationError` when the block reaches the section
+    size or after ``MAX_WITNESS_ITERATIONS`` steps.
 
     Returns the near-kernel values ascending, then sigma_min(a W), W the
     other right Ritz vectors (orthogonal to the near-kernel ones): by
@@ -371,8 +379,6 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
     with r_i, c_i the off-diagonal absolute row and column sums.  When that
     exceeds ``KERNEL_THRESHOLD`` there is no near-kernel, and the smallest
     absolute column sum, which is >= ||a e_j|| >= sigma_min, is the bound.
-    At large gain every singular value sits in a narrow cluster far above the
-    shift, where the iteration cannot align the block's halves.
     """
     size = a.shape[0]
     magnitudes = abs(a)
@@ -397,7 +403,11 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
         if block.shape[1] >= size:
             raise VerificationError(
                 f"kernel witness: block of {block.shape[1]} reached the section size {size}")
+        # (H^2 - s^2)^-1 = -J (H - s)^-1 J (H - s)^-1; the outer -J only
+        # flips the right half's sign, which its QR absorbs
         block = gbtrs(lu, u, u, np.asfortranarray(block, dtype=a.dtype), pivots, overwrite_b=1)[0]
+        block[1::2] *= -1
+        block = gbtrs(lu, u, u, block, pivots, overwrite_b=1)[0]
         left = np.linalg.qr(block[0::2])[0]
         right = np.linalg.qr(block[1::2])[0]
         image = a @ right
@@ -408,18 +418,20 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
         # ||H e - s e|| for the unit eigenvector estimate e = (x, y) / sqrt 2
         residuals = np.sqrt((np.linalg.norm(image - left * values, axis=0) ** 2
                              + np.linalg.norm(a_adj @ left - right * values, axis=0) ** 2) / 2)
+        # Rayleigh quotient and residual of a* a at each right Ritz vector
+        rho = np.linalg.norm(image, axis=0) ** 2
+        right_residuals = np.linalg.norm(a_adj @ image - right * rho, axis=0)
         near = values < KERNEL_THRESHOLD
-        # a Ritz vector at s with residual r has weight below r / (s - 2 shift)
-        # on singular values under 2 shift, the ones nearer the shift than
-        # the near-kernel; weight under one half means the block has room
-        room = values - 2.0 * residuals > 2.0 * WITNESS_SHIFT
+        certified = ((values - residuals > KERNEL_THRESHOLD)
+                     | (rho - right_residuals > KERNEL_THRESHOLD ** 2))
+        room = rho - 2.0 * right_residuals > KERNEL_THRESHOLD ** 2
         block = np.empty((2 * size, len(values)), dtype=a.dtype, order="F")
         block[0::2] = left
         block[1::2] = right
-        if np.all(values < 2.0 * WITNESS_SHIFT):
+        if np.all(near):
             block = np.hstack([block, rng.standard_normal(block.shape)])
         elif (room.any() and np.all(residuals[near] <= WITNESS_RESIDUAL_TOL)
-              and np.all(values[~near] - residuals[~near] > KERNEL_THRESHOLD)):
+              and np.all(certified[~near])):
             bound = np.linalg.svd(image[:, ~near], compute_uv=False)[-1]
             return np.append(values[near][::-1], bound)
     raise VerificationError(

@@ -518,6 +518,23 @@ def test_verify_passes_the_witness_at_unequal_half_line_gains(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, count", [
+    ("reference_um_m1", 0), ("reference_um_m2", 1), ("reference_mko", 1)])
+def test_verify_passes_the_witness_at_opposite_half_line_gains(tmp_path, capsys, name, count):
+    # gain 3 on the left, -3 on the right: the index is 0, and at m = 2 the
+    # section keeps one kernel pair that the index does not protect
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": 3.0, "right": -3.0}
+    path = write_config(tmp_path, doc)
+    assert main(["index", path]) == 0
+    assert "index = 0" in capsys.readouterr().out.splitlines()
+    assert main(["verify", path]) == 0
+    captured = capsys.readouterr()
+    assert (f"kernel witness: PASS ({count} singular values below 1.0e-06 at window 300, "
+            "index demands 0)") in captured.out.splitlines()
+    assert "FAIL" not in captured.out and captured.err == ""
+
+
 def test_every_benchmark_trace_target_is_a_library_callable(monkeypatch):
     # perfbench/spans.py patches these names when the benchmark traces a run,
     # so a library rename or deletion would break `perfbench/run.py --trace 1`

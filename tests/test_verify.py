@@ -514,6 +514,16 @@ def test_witness_diagonal_near_kernel_closed_form():
     assert 0.6 - 1e-12 <= values[2] <= 1.0
 
 
+def test_witness_block_doubles_past_a_near_kernel_wider_than_the_start_block():
+    # |q| = 0 on ten sites: ten exact zeros, more than the 8 start columns,
+    # so every Ritz value sits below the threshold until the block doubles
+    witness = kernel_witness(diagonal_params({x: 0.0 for x in range(-5, 5)}), 12)
+    values = witness.singular_values
+    assert witness.count == 10 and len(values) == 11
+    assert np.max(values[:10]) < 1e-12
+    assert 0.6 - 1e-12 <= values[10] <= 1.0
+
+
 def assert_values_match_dense_svd(values, matrix):
     svals = np.sort(np.linalg.svd(matrix, compute_uv=False))
     count = int(np.sum(svals < KERNEL_THRESHOLD))
@@ -556,15 +566,42 @@ def test_witness_matches_dense_svd_on_the_seed_53_stream(draw):
 
 def test_witness_finds_a_near_kernel_behind_values_nearer_the_shift():
     # margin 0.011: at window 1000 the section has 2 near-kernel values and 8
-    # in (0.0149, 0.02), all ten below 2 * WITNESS_SHIFT and so nearer the
-    # shift than the near-kernel; the start block of 8 columns must double
-    # before it can hold the near-kernel
+    # in (0.0149, 0.02), a cluster that a shift of 0.01 would amplify more
+    # than the near-kernel; below the threshold every near-kernel value
+    # outranks it, so the 8 start columns must find both near-kernel values
     params = ModelParamsUm(m=1, gamma=real_profile(0.4, 0.4), p=real_profile(-0.2, 0.2),
                            a=real_profile(-0.14, 0.14),
                            q=ParameterProfile.constant(math.sqrt(0.96)),
                            b=ParameterProfile.constant(math.sqrt(1 - 0.14 ** 2)))
     assert compute_index(params).analytic_index == 2
     assert_witness_matches_dense_svd(params, 1000)
+
+
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko"])
+def test_witness_matches_dense_svd_at_opposite_half_line_gains(tmp_path, name):
+    # gain 3 on the left, -3 on the right: sigma_min of the window-300 section
+    # is 19.57 for m = 1; for m = 2 and the two-step reduction one value of
+    # ~1e-18 sits below it
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc["profiles"]["gamma"] = {"left": 3.0, "right": -3.0}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_witness_matches_dense_svd(reduce_to_um(load_model_config(path).build()), 300)
+
+
+@functools.cache
+def unequal_gain_stream():
+    # gains in [-2.5, 2.5] on each half-line; draw 1 (m = 1) is a section
+    # where block inverse iteration at the shift 0.01 never settles
+    rng = np.random.default_rng(12)
+    return ([random_fredholm_params(rng, gamma_range=2.5) for _ in range(10)]
+            + [reduce_to_um(random_mko_params(rng)) for _ in range(10)])
+
+
+@pytest.mark.parametrize("draw", range(20))
+def test_witness_matches_dense_svd_at_unequal_half_line_gains(draw):
+    for window in (100, 300):
+        assert_witness_matches_dense_svd(unequal_gain_stream()[draw], window)
 
 
 def test_witness_falls_back_to_complex_arithmetic_when_no_gauge_makes_the_block_real():
@@ -614,10 +651,10 @@ def test_witness_keeps_the_fields_the_benchmark_reads():
     ("reference_um_m1", 2), ("reference_um_m2", 4), ("reference_mko", 4),
     ("m=3", 6), ("m=-3", 6)])
 def test_witness_counts_and_iterations_at_wide_windows(monkeypatch, name, count):
-    # the near-kernel settles in 14-16 block steps at these windows; a cap of
-    # 20 turns any slide in the convergence rate into a failure.  At |m| = 3
+    # the near-kernel settles in 2 block steps at these windows; a cap of 4
+    # turns any slide in the convergence rate into a failure.  At |m| = 3
     # the permuted block splits into three tridiagonal blocks.
-    monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 20)
+    monkeypatch.setattr(verify_module, "MAX_WITNESS_ITERATIONS", 4)
     if name.startswith("m="):
         um, windows = reference_params(m=int(name[2:])), (600, 2000)
     else:
