@@ -7,9 +7,10 @@ All coefficients are eventually constant (:class:`ParameterProfile`), so
 composition, adjoints and endpoint limits are computed exactly at the
 coefficient level.  Matrices enter only through finite sections, all built
 from the same vectorised entries (:meth:`BandedOperator.section_triplets`):
-:mod:`chiralwalk.verify` assembles its eigensolves and its kernel witness
-from those entries directly, :meth:`BandedOperator.sparse_section` gives
-them as a sparse CSR array (for the banded products of the residuals), and
+:mod:`chiralwalk.verify` assembles its dense eigensolves and the
+three-diagonal band of its kernel witness from those entries directly,
+:meth:`BandedOperator.sparse_section` gives them as a sparse CSR array (for
+the sparse products of the residuals, the only sparse matrices), and
 :meth:`BandedOperator.finite_section` as a dense array (the dense reference
 the tests compare against).
 """

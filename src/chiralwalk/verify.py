@@ -3,17 +3,16 @@
 Everything here works on finite sections, deliberately independent of the
 exact coefficient-level algebra: residuals are built from sections and their
 conjugate transposes only (the section of an adjoint is the conjugate
-transpose of the section).  Residuals and the kernel witness use only banded
-(sparse) algebra, so their cost grows linearly in the window: residuals
-compare sparse matrix products of finite sections on interior rows, and the
-witness factors the banded Hermitian dilation H of the off-diagonal block
-once, shifted by half the kernel threshold, and runs a block inverse
-iteration on (H^2 - s^2)^-1 (two solves on that one factorisation per step)
-that returns the near-kernel singular values plus an upper bound on the next
-one, unless a diagonal-dominance bound already shows that there is no
-near-kernel.  Dense matrices appear only
-where a full spectrum is needed (truncated spectra, which also give the
-bound states), and :data:`DENSE_BUDGET` bounds their window.
+transpose of the section).  Residuals and the kernel witness cost time
+linear in the window: residuals compare sparse matrix products of finite
+sections on interior rows; the witness holds the off-diagonal block as three
+diagonals, factors their banded Hermitian dilation H once, shifted by half
+the kernel threshold, and runs a block inverse iteration on (H^2 - s^2)^-1
+(two solves on that one factorisation per step) that returns the near-kernel
+singular values plus an upper bound on the next one, unless a
+diagonal-dominance bound already shows that there is no near-kernel.  Dense
+matrices appear only where a full spectrum is needed (truncated spectra,
+which also give the bound states), and :data:`DENSE_BUDGET` bounds their window.
 
 Both the walk and the off-diagonal block couple only sites ``step`` apart,
 ``step`` the gcd of their coefficient offsets (m for an m-step walk and its
@@ -38,9 +37,7 @@ from the sparsity pattern alone; a section that no gauge makes real (the
 check is 8 eps max|entry|) is solved complex.  The truncated spectrum of a
 non-unitary walk is ill-conditioned at large gain: from gamma ~ 8 on, which
 eigenvectors count as edge-localised depends on roundoff, so the real and
-the complex solver can report different counts.  The kernel witness gauges
-the off-diagonal block by the same rule, with its rows and its columns as
-separate nodes.
+the complex solver can report different counts.
 
 The chiral and two-step residuals are compared with the tolerance after
 division by max(1, max|walk entry|): their roundoff is about eps times that
@@ -173,6 +170,13 @@ def _check_dense_budget(window: int):
         raise ValueError(f"window {window} beyond dense solver budget {DENSE_BUDGET}")
 
 
+def _unit_phases(vals: np.ndarray) -> np.ndarray:
+    """``vals / |vals|`` (1 at a 0), each first scaled by 2^-k to ~1 so |entry| cannot overflow."""
+    _, exponent = np.frexp(np.maximum(np.abs(vals.real), np.abs(vals.imag)))
+    scaled = np.ldexp(vals.real, -exponent) + 1j * np.ldexp(vals.imag, -exponent)
+    return np.divide(scaled, np.abs(scaled), out=np.ones_like(scaled), where=scaled != 0)
+
+
 def _phase_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     """Unit-modulus ``d`` that makes ``vals * d[cols] / d[rows]`` real where a diagonal gauge can.
 
@@ -186,11 +190,7 @@ def _phase_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
     is real exactly when the phases around its cycles cancel.
     """
     nz = vals != 0
-    # scale each entry by a power of two to magnitude ~1 (exact), so |entry|
-    # cannot overflow near the gain limit
-    _, exponent = np.frexp(np.maximum(np.abs(vals[nz].real), np.abs(vals[nz].imag)))
-    scaled = np.ldexp(vals[nz].real, -exponent) + 1j * np.ldexp(vals[nz].imag, -exponent)
-    r, c, unit = rows[nz], cols[nz], scaled / np.abs(scaled)
+    r, c, unit = rows[nz], cols[nz], _unit_phases(vals[nz])
     src, dst = np.concatenate([r, c]), np.concatenate([c, r])
     order = np.lexsort((dst, src))                   # stable: a[u, v] before conj(a[v, u])
     start = np.searchsorted(src[order], np.arange(size + 1)).tolist()
@@ -215,17 +215,40 @@ def _phase_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
     return np.array(d)
 
 
-def _real_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """``vals`` gauged by :func:`_phase_gauge` and made real, or unchanged when that fails.
+def _real_gauge(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int,
+                d: np.ndarray | None = None) -> np.ndarray:
+    """``vals`` gauged by ``d`` or :func:`_phase_gauge` and made real, or unchanged when that fails.
 
     The gauge counts as real when every gauged imaginary part is at most
     8 eps max|entry|; otherwise the ungauged complex ``vals`` come back.
     """
-    d = _phase_gauge(rows, cols, vals, size)
+    d = _phase_gauge(rows, cols, vals, size) if d is None else d
     gauged = vals * d[cols] / d[rows]
     if np.all(np.abs(gauged.imag) <= 8 * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)):
         return gauged.real
     return vals
+
+
+def _real_band(band: np.ndarray) -> np.ndarray:
+    """D1* a D2 for the tridiagonal ``band``, real where unitary diagonals D1, D2 can make it so.
+
+    ``band`` holds a[i, j] at [1 + i - j, j] (``solve_banded``'s (1, 1)
+    layout).  One cumprod of unit phases along the chain r0, c0, r1, c1, ...,
+    linked by a[i, i] (conjugated) and a[i + 1, i], gauges every link to its
+    modulus (a zero link reads 1).  If the 8 eps rule of :func:`_real_gauge`
+    then fails, its loop gauge runs on the same entries.
+    """
+    # links a[i, i - 1], conj a[i, i] per i; band[2, -1] is outside a (0), so r0 gets 1
+    links = np.column_stack([_unit_phases(np.roll(band[2], 1)), _unit_phases(band[1]).conj()])
+    k, j = np.nonzero(band)
+    entries = (2 * (j + k - 1), 2 * j + 1, band[k, j], 2 * band.shape[1])   # r_i = 2i, c_j = 2j + 1
+    chain = np.cumprod(links)            # a constant tail repeats one rounding of |link|
+    vals = _real_gauge(*entries, chain / np.abs(chain))
+    if np.iscomplexobj(vals):
+        vals = _real_gauge(*entries)
+    real = np.zeros(band.shape, dtype=vals.dtype)
+    real[k, j] = vals
+    return real
 
 
 def _class_ordered(op: BandedOperator, window: int):
@@ -311,40 +334,48 @@ class KernelWitness:
         return int(np.sum(self.singular_values < KERNEL_THRESHOLD))
 
 
-def _dilation_band(a) -> np.ndarray:
+def _band_dot(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for the tridiagonal a in :func:`_real_band`'s layout and a block ``x``."""
+    y = band[1, :, None] * x
+    y[:-1] += band[0, 1:, None] * x[1:]
+    y[1:] += band[2, :-1, None] * x[:-1]
+    return y
+
+
+def _dilation_band(a: np.ndarray) -> np.ndarray:
     """LAPACK general band storage (for ``?gbtrf``) of H - ``WITNESS_SHIFT`` I.
 
-    H = [[0, a], [a*, 0]] is the Hermitian dilation of the square sparse
-    tridiagonal ``a`` (Golub & Kahan): its eigenvalues are +-sigma for every
-    singular value sigma of ``a``, with eigenvectors (x, +-y) for the
-    singular vector pair (x, y).  Interleaving rows and columns as (row 0,
-    col 0, row 1, col 1, ...) puts a[i, j] at (2i, 2j + 1), so H has
-    bandwidth u = 3.  Entry (r, c) sits at [2u + r - c, c]; the top u rows
-    hold the LU fill-in.  The band has the dtype of ``a``.
+    H = [[0, a], [a*, 0]] is the Hermitian dilation of the square tridiagonal
+    band ``a`` (Golub & Kahan): its eigenvalues are +-sigma for every singular
+    value sigma of ``a``, with eigenvectors (x, +-y) for the singular vector
+    pair (x, y).  Interleaving rows and columns as (row 0, col 0, row 1, col 1,
+    ...) puts a[i, j] at (2i, 2j + 1), so H has bandwidth u = 3.  Entry (r, c)
+    sits at [2u + r - c, c]; the top u rows hold the LU fill-in.  The band has
+    the dtype of ``a``.
     """
     u = _DILATION_BANDWIDTH
-    entries = a.tocoo()
-    i, j, v = entries.row, entries.col, entries.data
-    band = np.zeros((3 * u + 1, 2 * a.shape[0]), dtype=a.dtype, order="F")
-    band[2 * u + 2 * i - 2 * j - 1, 2 * j + 1] = v
-    band[2 * u + 2 * j + 1 - 2 * i, 2 * i] = v.conj()
+    band = np.zeros((3 * u + 1, 2 * a.shape[1]), dtype=a.dtype, order="F")
+    band[u, 1::2] = a[0]                             # a[i - 1, i] at (2i - 2, 2i + 1)
+    band[2 * u - 1, 1::2] = a[1]                     # a[i, i] at (2i, 2i + 1)
+    band[2 * u - 1, 2::2] = a[2, :-1].conj()         # conj a[i + 1, i] at (2i + 1, 2i + 2)
+    for d in (1, 3):                                 # H is Hermitian: (c, r) mirrors (r, c)
+        band[2 * u + d, :-d] = band[2 * u - d, d:].conj()
     band[2 * u] = -WITNESS_SHIFT
     return band
 
 
-def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
-    """Singular values of the square sparse tridiagonal ``a`` below ``KERNEL_THRESHOLD``, then one bound.
+def _near_kernel_singular_values(a: np.ndarray, start_columns: int) -> np.ndarray:
+    """Singular values of the tridiagonal band ``a`` below ``KERNEL_THRESHOLD``, then one bound.
 
     Block inverse iteration on (H^2 - s^2)^-1, H the dilation of
-    :func:`_dilation_band` and s = ``WITNESS_SHIFT``, factored once as
-    H - s (at 0, H is numerically singular).  J = diag(1, -1, 1, ...) in
-    the interleaved order anticommutes with H, so (H + s)^-1 =
-    -J (H - s)^-1 J, and each step is two banded solves on the one LU, a QR
-    of the block's left (even) rows and one of its right (odd) rows, and
-    Rayleigh-Ritz of H on the span of both: the Ritz values are the
-    singular values of left* a right.  The factorisation, the solves and
-    the block all take the dtype of ``a``, so a real ``a`` runs in real
-    arithmetic (``dgbtrf``/``dgbtrs``).
+    :func:`_dilation_band` and s = ``WITNESS_SHIFT``, factored once as H - s
+    (at 0, H is numerically singular).  J = diag(1, -1, 1, ...) in the
+    interleaved order anticommutes with H, so (H + s)^-1 = -J (H - s)^-1 J, and
+    each step is two banded solves on the one LU, a QR of the block's left
+    (even) rows and one of its right (odd) rows, and Rayleigh-Ritz of H on the
+    span of both: the Ritz values are the singular values of left* a right.
+    The factorisation, the solves and the block all take the dtype of ``a``, so
+    a real ``a`` runs in real arithmetic (``dgbtrf``/``dgbtrs``).
 
     H^2 = diag(a a*, a* a), so the two halves never mix: the left half
     iterates on (a a* - s^2)^-1 and the right on (a* a - s^2)^-1.  With
@@ -380,11 +411,12 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
     exceeds ``KERNEL_THRESHOLD`` there is no near-kernel, and the smallest
     absolute column sum, which is >= ||a e_j|| >= sigma_min, is the bound.
     """
-    size = a.shape[0]
-    magnitudes = abs(a)
-    diag = np.abs(a.diagonal())
+    size = a.shape[1]
+    a_adj = np.conj([np.roll(a[2], 1), a[1], np.roll(a[0], -1)])    # a* in the same layout
+    magnitudes = np.abs(a)
+    diag = magnitudes[1]
     columns = magnitudes.sum(axis=0)
-    off_diagonal = magnitudes.sum(axis=1) + columns - 2.0 * diag
+    off_diagonal = np.abs(a_adj).sum(axis=0) + columns - 2.0 * diag    # |a*|'s columns: |a|'s rows
     if np.min(diag - 0.5 * off_diagonal) > KERNEL_THRESHOLD:
         return np.array([np.min(columns)])
     # imported here, as in every section builder: index and spectrum load numpy only
@@ -396,7 +428,6 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
     lu, pivots, info = gbtrf(band, u, u, overwrite_ab=1)
     if info != 0:
         raise VerificationError(f"kernel witness: dilation singular at shift {WITNESS_SHIFT}")
-    a_adj = a.conj().T.tocsr()
     rng = np.random.default_rng(0)
     block = rng.standard_normal((2 * size, start_columns))
     for _ in range(MAX_WITNESS_ITERATIONS):
@@ -410,17 +441,18 @@ def _near_kernel_singular_values(a, start_columns: int) -> np.ndarray:
         block = gbtrs(lu, u, u, block, pivots, overwrite_b=1)[0]
         left = np.linalg.qr(block[0::2])[0]
         right = np.linalg.qr(block[1::2])[0]
-        image = a @ right
+        image = _band_dot(a, right)
         p, values, qh = np.linalg.svd(left.conj().T @ image)
         left = left @ p
         right = right @ qh.conj().T
         image = image @ qh.conj().T                      # a @ right
         # ||H e - s e|| for the unit eigenvector estimate e = (x, y) / sqrt 2
         residuals = np.sqrt((np.linalg.norm(image - left * values, axis=0) ** 2
-                             + np.linalg.norm(a_adj @ left - right * values, axis=0) ** 2) / 2)
+                             + np.linalg.norm(_band_dot(a_adj, left) - right * values,
+                                              axis=0) ** 2) / 2)
         # Rayleigh quotient and residual of a* a at each right Ritz vector
         rho = np.linalg.norm(image, axis=0) ** 2
-        right_residuals = np.linalg.norm(a_adj @ image - right * rho, axis=0)
+        right_residuals = np.linalg.norm(_band_dot(a_adj, image) - right * rho, axis=0)
         near = values < KERNEL_THRESHOLD
         certified = ((values - residuals > KERNEL_THRESHOLD)
                      | (rho - right_residuals > KERNEL_THRESHOLD ** 2))
@@ -451,26 +483,24 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     The block has entries only at offsets +m, 0 and -m, so ordering its rows
     and columns by residue class mod |m| (:func:`_class_ordered`, a
     permutation, which keeps the singular values) splits it into |m|
-    tridiagonal blocks.  The interior rows and columns [k, 2 window + 1 - k)
-    of the section, k the bandwidth, are the section at window - k.  The
-    blocks are then gauged by :func:`_real_gauge` with rows and columns as
-    separate nodes: D1* A D2 with unitary diagonal D1, D2 has the singular
-    values of A, and it is real when every 4-cycle of the pattern has a real
-    product.  The block's does: its diagonal is real up to the global factor
-    i/2, and up(x) down(x + m) ~ |beta|^2.
+    tridiagonal blocks, filled straight into a (3, size) band.  The interior
+    rows and columns [k, 2 window + 1 - k) of the section, k the bandwidth, are
+    the section at window - k.  :func:`_real_band` gauges it: D1* A D2 with
+    unitary diagonal D1, D2 has the singular values of A, and it is real when
+    every 4-cycle of the pattern has a real product.  The block's does: its
+    diagonal is real up to the global factor i/2, and up(x) down(x + m) ~
+    |beta|^2.
     """
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
     block = offdiag_block(params)
     k = block.bandwidth
     _, _, rows, cols, vals = _class_ordered(block, window - k)
-    size = block.block_size * (2 * (window - k) + 1)
-    # imported here, as in every section builder: index and spectrum load numpy only
-    from scipy import sparse
-
-    vals = _real_gauge(rows, cols + size, vals, 2 * size)
-    tridiagonal = sparse.csr_array((vals, (rows, cols)), shape=(size, size))
-    return KernelWitness(window, _near_kernel_singular_values(tridiagonal, 4 * k + 4))
+    if np.any(np.abs(rows - cols) > 1):
+        raise ValueError("kernel witness: the class-ordered block is not tridiagonal")
+    band = np.zeros((3, block.block_size * (2 * (window - k) + 1)), dtype=vals.dtype)
+    band[1 + rows - cols, cols] = vals
+    return KernelWitness(window, _near_kernel_singular_values(_real_band(band), 4 * k + 4))
 
 
 @dataclass

@@ -607,6 +607,17 @@ def test_verify_loads_only_scipy_sparse_and_linalg():
     assert public - {"version"} == {"linalg", "sparse"}
 
 
+def test_the_kernel_witness_loads_scipy_linalg_but_no_scipy_sparse():
+    # the witness holds the block as three diagonals; only the residuals
+    # build sparse matrices
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "from conftest import reference_params\nfrom chiralwalk import kernel_witness\n"
+            "assert kernel_witness(reference_params(m=2), 300).count == 2")
+    loaded = scipy_modules_after(code)
+    assert "scipy.linalg" in loaded
+    assert not [name for name in loaded if name.split(".")[:2] == ["scipy", "sparse"]]
+
+
 def test_verify_command_runs_bound_states_for_unitary_configs(tmp_path, capsys):
     doc = um_document()
     doc["profiles"]["gamma"] = {"left": 0.0, "right": 0.0}

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 import chiralwalk.plotting
@@ -610,14 +609,14 @@ def test_witness_falls_back_to_complex_arithmetic_when_no_gauge_makes_the_block_
     # makes real; the symbol 0.5 + z + 0.3i / z winds once around 0, so the
     # section has one near-kernel value
     size = 400
-    a = sparse.diags_array([np.full(size - 1, 0.3j), np.full(size, 0.5 + 0j), np.ones(size - 1)],
-                           offsets=[-1, 0, 1], format="coo")
-    vals = verify_module._real_gauge(a.row, a.col + size, a.data, 2 * size)
-    assert vals.dtype == np.complex128
-    tridiagonal = sparse.csr_array((vals, (a.row, a.col)), shape=a.shape)
-    values = verify_module._near_kernel_singular_values(tridiagonal, 8)
+    # a[i, j] at [1 + i - j, j]: superdiagonal, diagonal, subdiagonal
+    band = np.array([np.r_[0, np.ones(size - 1)], np.full(size, 0.5), np.r_[np.full(size - 1, 0.3j), 0]])
+    dense = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+    band = verify_module._real_band(band)
+    assert band.dtype == np.complex128
+    values = verify_module._near_kernel_singular_values(band, 8)
     assert int(np.sum(values < KERNEL_THRESHOLD)) == 1
-    assert_values_match_dense_svd(values, a.toarray())
+    assert_values_match_dense_svd(values, dense)
 
 
 def test_witness_runs_the_two_step_reference_in_real_arithmetic(monkeypatch):
@@ -626,14 +625,145 @@ def test_witness_runs_the_two_step_reference_in_real_arithmetic(monkeypatch):
     dtypes = []
     original = verify_module._near_kernel_singular_values
 
-    def spy(a, start_columns):
-        dtypes.append(a.dtype)
-        return original(a, start_columns)
+    def spy(band, start_columns):
+        dtypes.append(band.dtype)
+        return original(band, start_columns)
 
     monkeypatch.setattr(verify_module, "_near_kernel_singular_values", spy)
     um = reduce_to_um(load_model_config(CONFIG_DIR / "reference_mko.json").build())
     assert kernel_witness(um, 300).count == 2
     assert dtypes == [np.float64]
+
+
+def config_params(name):
+    return reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
+
+
+def refuse_the_loop_gauge(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-node loop gauge ran")
+
+    monkeypatch.setattr(verify_module, "_phase_gauge", refuse)
+
+
+@pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3, "mko"])
+def test_the_class_ordered_block_is_tridiagonal(m):
+    # kernel_witness fills a (3, size) band from the block's class-ordered
+    # section at window - |m|; windows 40 .. 40 + |m| - 1 hit every residue
+    # of (window - |m|) mod |m|, so every split into class sizes
+    um = reduce_to_um(reference_mko_params()) if m == "mko" else reference_params(m=m)
+    block = offdiag_block(um)
+    step = abs(um.m)
+    assert block.bandwidth == step
+    for window in range(40, 40 + step):
+        _, starts, rows, cols, _ = verify_module._class_ordered(block, window - step)
+        assert len(starts) == step + 1
+        assert np.max(np.abs(cols - rows)) == 1
+        assert np.array_equal(np.searchsorted(starts, rows, side="right"),
+                              np.searchsorted(starts, cols, side="right"))
+        assert kernel_witness(um, window).window == window
+
+
+@functools.cache
+def wide_gauge_stream():
+    rng = np.random.default_rng(21)
+    return ([config_params(name) for name in ("reference_um_m1", "reference_um_m2", "reference_mko")]
+            + [random_fredholm_params(rng, gamma_range=2.5) for _ in range(20)])
+
+
+def test_the_chain_gauge_stays_real_to_8_eps_at_wide_windows(monkeypatch):
+    # the witness analogue of the walk sections' 8 eps test: one cumprod of
+    # unit phases along the chain r0, c0, r1, c1, ... gauges the band, and
+    # the per-node loop never runs
+    refuse_the_loop_gauge(monkeypatch)
+    original = verify_module._real_gauge
+    ratios = []
+
+    def measured(rows, cols, vals, size, d=None):
+        assert d is not None and np.allclose(np.abs(d), 1.0, rtol=0.0, atol=1e-12)
+        ratios.append(np.max(np.abs((vals * d[cols] / d[rows]).imag)) / np.max(np.abs(vals)))
+        return original(rows, cols, vals, size, d)
+
+    class Band(Exception):
+        pass
+
+    def capture(band, start_columns):
+        raise Band(band)
+
+    monkeypatch.setattr(verify_module, "_real_gauge", measured)
+    monkeypatch.setattr(verify_module, "_near_kernel_singular_values", capture)
+    for um in wide_gauge_stream():
+        for window in (10000, 50000):
+            with pytest.raises(Band) as caught:
+                kernel_witness(um, window)
+            assert caught.value.args[0].dtype == np.float64
+    assert len(ratios) == 2 * len(wide_gauge_stream())
+    assert max(ratios) <= 8 * np.finfo(float).eps
+
+
+def test_the_chain_gauge_matches_the_loop_gauge_up_to_signs(monkeypatch):
+    # the per-node loop is the reference: two real unitary gauges of one
+    # band differ only in the sign of each entry, and each moves a modulus
+    # by a few eps (up to 4.4 eps apart on these draws)
+    bands = []
+    original = verify_module._real_band
+    monkeypatch.setattr(verify_module, "_real_band", lambda band: bands.append(band) or original(band))
+    for um in wide_gauge_stream():
+        kernel_witness(um, 300)
+    assert len(bands) == len(wide_gauge_stream())
+    for band in bands:
+        k, j = np.nonzero(band)
+        loop = verify_module._real_gauge(2 * (j + k - 1), 2 * j + 1, band[k, j], 2 * band.shape[1])
+        chain = original(band)
+        assert chain.dtype == loop.dtype == np.float64
+        assert np.allclose(np.abs(chain[k, j]), np.abs(loop), rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["reference_um_m1", "reference_um_m2", "reference_mko"])
+def test_the_witness_runs_the_configs_in_real_arithmetic_without_the_loop_gauge(monkeypatch, name):
+    refuse_the_loop_gauge(monkeypatch)
+    dtypes = []
+    original = verify_module._near_kernel_singular_values
+
+    def spy(band, start_columns):
+        dtypes.append(band.dtype)
+        return original(band, start_columns)
+
+    monkeypatch.setattr(verify_module, "_near_kernel_singular_values", spy)
+    for window in (300, 1000, 2000):
+        kernel_witness(config_params(name), window)
+    assert dtypes == [np.float64] * 3
+
+
+def pinned(profile, sites, value):
+    return ParameterProfile(profile.left_limit, profile.right_limit,
+                            {**profile.overrides, **{x: value for x in sites}})
+
+
+@pytest.mark.parametrize("m, p", [(1, 1.0), (1, -1.0), (-1, -1.0), (2, 1.0), (-2, -1.0),
+                                  (3, 1.0), ("mko", 1.0), ("mko", -1.0)])
+def test_the_witness_falls_back_to_the_loop_gauge_when_a_link_vanishes(monkeypatch, m, p):
+    # p = sgn(m) at three sites (q = 0 there, ~1e-17 in the two-step model)
+    # zeroes the chain's subdiagonal links at those sites, inside a class;
+    # the superdiagonal entries that span each break keep phases the chain
+    # does not fix, and the loop gauge takes over.  p = -sgn(m) zeroes the
+    # superdiagonal entries beside the sites instead, and the chain gauges
+    # what is left.  The complex b gives the phases something to do.
+    sites = (-3, 0, 2)
+    if m == "mko":                                       # p(x) = -sin theta1(x + 1)
+        base = reference_mko_params()
+        um = reduce_to_um(ModelParamsMko(gamma=base.gamma, phi=base.phi,
+                                         theta1=pinned(base.theta1, sites, -p * math.pi / 2),
+                                         theta2=base.theta2))
+    else:
+        base = reference_params(m=m)
+        um = ModelParamsUm(m=m, gamma=base.gamma, p=pinned(base.p, sites, p), a=base.a,
+                           q=pinned(base.q, sites, 0.0),
+                           b=ParameterProfile.constant(math.sqrt(0.99) * np.exp(0.7j)))
+    loop = count_calls(monkeypatch, verify_module, "_phase_gauge")
+    for window in (100, 300):
+        assert_witness_matches_dense_svd(um, window)
+    assert bool(loop) == (p * np.sign(um.m) > 0)
 
 
 def test_witness_keeps_the_fields_the_benchmark_reads():
