@@ -28,6 +28,7 @@ from .models import (
     offdiag_block,
     reduce_to_um,
     walk,
+    walk_operator,
 )
 from .index import (
     IndexDisagreementError,
@@ -52,7 +53,6 @@ from .spectrum import (
     g_map,
     sigma_star,
     symbol_eigenvalues,
-    symbol_matrix,
 )
 from .verify import (
     VerificationError,

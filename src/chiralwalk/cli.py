@@ -27,7 +27,7 @@ from .index import (
     SymbolNearZeroError,
     compute_index,
 )
-from .models import AsymptoticData, InvalidParameters, default_phase, reduce_to_um
+from .models import AsymptoticData, InvalidParameters, ModelParamsMko, default_phase, reduce_to_um
 from .profiles import MINUS_INF, PLUS_INF, STARS, ParameterProfile
 from .spectrum import EssentialSpectrumResult, SpectralSet, essential_spectrum, sigma_star
 from .verify import run_verification, section_eigenvalues
@@ -190,10 +190,9 @@ def _decimal(x: float) -> str:
 
 def _cmd_spectrum(args) -> int:
     params = _load(args).build()
-    um = reduce_to_um(params)
     # essential_spectrum refuses a bad resolution, so it runs before the first print
-    result = essential_spectrum(um, args.resolution)
-    if um is not params:
+    result = essential_spectrum(params, args.resolution)
+    if isinstance(params, ModelParamsMko):
         print("two-step model reduced to the equivalent m = 2 instance")
     for ep in (result.minus, result.plus):
         d = ep.data

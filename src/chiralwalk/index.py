@@ -109,7 +109,7 @@ class SymbolFunction:
 
 
 def symbols_from_block(params: ModelParamsUm, phase: ParameterProfile | None = None) -> dict:
-    """Endpoint symbols read off the coefficient limits of -2i times the block.
+    """Endpoint symbols read off the block's :meth:`~BandedOperator.endpoint_symbol`, times -2i.
 
     Where p tends to +1 (resp. -1), q vanishes, so its phase theta there is
     free, yet the block's leading (resp. trailing) limit carries e^{+i theta}
@@ -129,8 +129,8 @@ def symbols_from_block(params: ModelParamsUm, phase: ParameterProfile | None = N
         # (not 1) fixes the signed zeros of the products
         left = cmath.exp(-1j * (angle if abs(p - 1.0) <= NORMALIZATION_TOL else 0.0))
         right = cmath.exp(1j * (angle if abs(p + 1.0) <= NORMALIZATION_TOL else 0.0))
-        limits = {y: (left * (prof.limit(star) * -2j)) * right
-                  for (_, _, y), prof in block.coeff.items()}
+        limits = {y: (left * (complex(c[0, 0]) * -2j)) * right
+                  for y, c in block.endpoint_symbol(star).items()}
         # a coefficient that vanishes identically is absent from the block and reads +0
         leading, trailing, diagonal = (limits.get(y, 0j) for y in (m, -m, 0))
         out[star] = SymbolFunction(star=star, m=m, c=(-diagonal / 2.0).real,

@@ -4,7 +4,8 @@ An operator is stored as a finite family of coefficient profiles
 ``a[i, j, y]`` with ``|y| <= k``: the (i, j) block acts as
 ``sum_y  a[i,j,y](x) * (shift^y)``, where ``(shift^y psi)(x) = psi(x + y)``.
 All coefficients are eventually constant (:class:`ParameterProfile`), so
-composition, adjoints and endpoint limits are computed exactly at the
+composition, adjoints and endpoint limits (:meth:`BandedOperator.endpoint_symbol`,
+the one source of every endpoint symbol) are computed exactly at the
 coefficient level.  Matrices enter only through finite sections, all built
 from the same vectorised entries (:meth:`BandedOperator.section_triplets`):
 :mod:`chiralwalk.verify` assembles its dense eigensolves and the
@@ -84,6 +85,13 @@ class BandedOperator:
         if prof is None:
             return ParameterProfile.constant(0.0)
         return prof
+
+    def endpoint_symbol(self, star: str) -> dict:
+        """Limits at ``star`` as ``{y: C_y}``, the symbol sum_y C_y z^y (+0 where no coefficient)."""
+        out = {}
+        for (i, j, y), prof in self.coeff.items():
+            out.setdefault(y, np.zeros((self.block_size,) * 2, complex))[i, j] = prof.limit(star)
+        return out
 
     # -- algebra ------------------------------------------------------------
 

@@ -257,8 +257,8 @@ def _mko_factors(params: ModelParamsMko):
 def mko_walk(params: ModelParamsMko) -> BandedOperator:
     """Literal factor-by-factor product of the two-step gain/loss evolution."""
     split, gain, gain_inv, phase, coin_one, coin_two = _mko_factors(params)
-    out = BandedOperator.identity(2)
-    for factor in (split, gain, phase, coin_two, split, gain_inv, phase, coin_one):
+    out = split
+    for factor in (gain, phase, coin_two, split, gain_inv, phase, coin_one):
         out = out @ factor
     return out
 
@@ -297,6 +297,17 @@ def mko_grading(params: ModelParamsMko) -> BandedOperator:
     """Grading for the two-step model, transported through the conjugator."""
     um, eta = mko_to_um(params)
     return eta @ grading(um) @ eta.adjoint()
+
+
+def walk_operator(params) -> BandedOperator:
+    """The walk operator of either model family."""
+    return mko_walk(params) if isinstance(params, ModelParamsMko) else walk(params)
+
+
+def build_pair(params):
+    """(grading, walk) operators of either model family."""
+    grading_op = mko_grading(params) if isinstance(params, ModelParamsMko) else grading(params)
+    return grading_op, walk_operator(params)
 
 
 # ---------------------------------------------------------------------------

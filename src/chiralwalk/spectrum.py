@@ -10,9 +10,10 @@ classified by how the gain magnitude compares with a closed interval
 * Case III -- real segments only.
 
 The closed-form sets are exact symbolic objects (interval endpoints).  An
-independent oracle samples eigenvalues of the 2x2 endpoint symbol over the
-unit circle; agreement is measured by a two-sided Hausdorff distance with a
-derivative-calibrated tolerance.
+independent oracle samples eigenvalues of the walk operator's own 2x2
+endpoint symbol (the two-step walk's, not its reduction's) over the unit
+circle; agreement is measured by a two-sided Hausdorff distance with a
+derivative-calibrated tolerance above a roundoff floor.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index import sgn
-from .models import MAX_SAMPLES, AsymptoticData, ModelParamsUm
+from .models import MAX_SAMPLES, AsymptoticData, reduce_to_um, walk_operator
 from .profiles import MINUS_INF, PLUS_INF, STARS
 
 CASE_I = "I"
@@ -260,34 +261,22 @@ def sigma_star(asym: AsymptoticData) -> SpectralSet:
 # symbol sampling oracle
 # ---------------------------------------------------------------------------
 
-def symbol_matrix(asym: AsymptoticData, z, m: int) -> np.ndarray:
-    """The 2x2 endpoint symbol of the walk; z may be an array (unit circle)."""
-    z = np.asarray(z, dtype=complex)
-    zm = z ** m
-    zmi = z ** (-m)
-    e_plus = math.exp(2.0 * asym.gamma)
-    e_minus = math.exp(-2.0 * asym.gamma)
-    out = np.empty(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = asym.q * asym.b * zm + asym.p * asym.a * e_minus
-    out[..., 0, 1] = -(asym.q * asym.a * e_plus * zm - asym.p * np.conj(asym.b))
-    out[..., 1, 0] = np.conj(asym.q) * asym.a * e_minus * zmi - asym.p * asym.b
-    out[..., 1, 1] = np.conj(asym.q) * np.conj(asym.b) * zmi + asym.p * asym.a * e_plus
-    return out
+def symbol_eigenvalues(symbol: dict, z) -> np.ndarray:
+    """Eigenvalue pairs of a walk's endpoint symbol ``{y: C_y}``, deterministically ordered.
 
-
-def symbol_eigenvalues(asym: AsymptoticData, z, m: int) -> np.ndarray:
-    """Eigenvalue pairs of the endpoint symbol, deterministically ordered.
-
-    The symbol has determinant 1 (grading and coin each have determinant
-    -1), so its eigenvalues are the roots h +- sqrt(h^2 - 1) of
-    x^2 - 2 h x + 1 with h = trace / 2, and they are reciprocal.  The root
-    h + sqrt(h - 1) sqrt(h + 1) = exp(arccosh h) (principal roots) has
-    modulus >= 1 and neither overflows nor cancels; the other is its
-    reciprocal.  A general 2x2 eigensolve loses the small root once the gain
-    makes the entries large (gamma around 50).
+    The symbol sum_y C_y z^y has determinant 1, so its eigenvalues are the
+    reciprocal roots h +- sqrt(h^2 - 1) of x^2 - 2 h x + 1 with h = trace / 2
+    = 1/2 sum_y tr(C_y) z^y.  The root h + sqrt(h - 1) sqrt(h + 1) =
+    exp(arccosh h) has modulus >= 1 and neither overflows nor cancels; a
+    general 2x2 eigensolve loses the small root from gamma around 50.  Only
+    the real part of h is kept, so ``z`` must lie on the unit circle and the
+    symbol be chirally symmetric, as every walk symbol is: there h is real,
+    and its imaginary rounding would move the roots off the set by its square
+    root where they meet.  Elsewhere the imaginary part is not rounding and
+    the result is wrong.
     """
-    mats = symbol_matrix(asym, z, m)
-    h = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
+    z = np.asarray(z, dtype=complex)
+    h = sum(0.5 * np.trace(c) * z ** y for y, c in sorted(symbol.items())).real + 0j
     big = h + np.sqrt(h - 1.0) * np.sqrt(h + 1.0)
     return np.sort_complex(np.stack([big, 1.0 / big], axis=-1))
 
@@ -298,12 +287,13 @@ def hausdorff_tolerance(data: EndpointSpectrumData, m: int, resolution: int) -> 
     The trace parameter moves at most ``|m| * |q b|`` per unit angle; eigenvalues
     respond with a square-root branch at the band edges, so consecutive cloud
     points can be separated by about sqrt(2 * dLambda) there and by O(dLambda)
-    elsewhere.  A tenfold safety factor covers both regimes.
+    elsewhere.  A tenfold safety factor covers both regimes.  The floor, 16
+    eps max(1, Lambda_+), covers the rounding of two independent routes.
     """
     qb = (data.lam_plus - data.lam_minus) / 2.0
     d_lam = abs(m) * qb * (2.0 * np.pi / resolution)
     scale = max(1.0, data.lam_plus)
-    return 10.0 * (math.sqrt(2.0 * scale * d_lam) + d_lam) + 1e-9
+    return 10.0 * (math.sqrt(2.0 * scale * d_lam) + d_lam) + 16.0 * np.finfo(float).eps * scale
 
 
 @dataclass(frozen=True)
@@ -331,19 +321,21 @@ class EssentialSpectrumResult:
     plus: EndpointEssentialSpectrum
 
 
-def essential_spectrum(params: ModelParamsUm, resolution: int) -> EssentialSpectrumResult:
-    """Closed-form endpoint sets plus the oracle's eigenvalues at ``resolution`` circle samples."""
+def essential_spectrum(params, resolution: int) -> EssentialSpectrumResult:
+    """Closed-form sets of the m-step reduction plus eigenvalues sampled off the walk itself."""
     if resolution < 256:
         raise ValueError("resolution must be at least 256")
     if resolution > MAX_SAMPLES:
         raise ValueError(f"resolution must be at most {MAX_SAMPLES}")
-    t = 2.0 * np.pi * np.arange(resolution) / resolution
+    um = reduce_to_um(params)
+    walk_op = walk_operator(params)
+    z = np.exp(1j * (2.0 * np.pi * np.arange(resolution) / resolution))
     reports = {}
     for star in STARS:
-        asym = AsymptoticData.from_params(params, star)
+        asym = AsymptoticData.from_params(um, star)
         data = EndpointSpectrumData.from_asymptotics(asym)
         sset = sigma_star(asym)
-        cloud = symbol_eigenvalues(asym, np.exp(1j * t), params.m).ravel()
+        cloud = symbol_eigenvalues(walk_op.endpoint_symbol(star), z).ravel()
         to_set, to_cloud = sset._hausdorff_sides(cloud, sset.sample(2 * resolution))
         reports[star] = EndpointEssentialSpectrum(
             star=star,
@@ -352,6 +344,6 @@ def essential_spectrum(params: ModelParamsUm, resolution: int) -> EssentialSpect
             cloud=cloud,
             cloud_to_set=float(np.max(to_set)),
             set_to_cloud=float(np.max(to_cloud)),
-            tolerance=hausdorff_tolerance(data, params.m, resolution),
+            tolerance=hausdorff_tolerance(data, um.m, resolution),
         )
     return EssentialSpectrumResult(minus=reports[MINUS_INF], plus=reports[PLUS_INF])

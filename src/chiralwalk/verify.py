@@ -62,14 +62,14 @@ from .models import (
     InvalidParameters,
     ModelParamsMko,
     ModelParamsUm,
-    grading,
-    mko_grading,
+    build_pair,
     mko_to_um,
     mko_walk,
     normalization_residual,
     offdiag_block,
     reduce_to_um,
     walk,
+    walk_operator,
 )
 
 DENSE_BUDGET = 2000
@@ -84,17 +84,6 @@ _DILATION_BANDWIDTH = 3
 
 class VerificationError(RuntimeError):
     """A finite-section check failed; the message starts with the check's name."""
-
-
-def _walk_operator(params) -> BandedOperator:
-    """The walk operator of either model family."""
-    return mko_walk(params) if isinstance(params, ModelParamsMko) else walk(params)
-
-
-def build_pair(params):
-    """(grading, walk) operators for either model family."""
-    grading_op = mko_grading(params) if isinstance(params, ModelParamsMko) else grading(params)
-    return grading_op, _walk_operator(params)
 
 
 def _interior_max(diff, window: int, block_size: int, margin: int) -> float:
@@ -300,7 +289,7 @@ def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
     sites; values and tags come class by class, and the eigenvalues are
     always complex.
     """
-    walk_op = _walk_operator(params)
+    walk_op = walk_operator(params)
     values, tags = [], []
     for sites, block in _class_blocks(walk_op, window):
         class_values, vectors = np.linalg.eig(block)
@@ -317,13 +306,17 @@ def section_eigenvalues(params, window: int) -> np.ndarray:
     :func:`truncated_spectrum`'s as a multiset up to roundoff, but not
     necessarily in order.
     """
-    values = [np.linalg.eigvals(block) for _, block in _class_blocks(_walk_operator(params), window)]
+    values = [np.linalg.eigvals(block) for _, block in _class_blocks(walk_operator(params), window)]
     return np.concatenate(values).astype(complex, copy=False)
 
 
 @dataclass
 class KernelWitness:
-    """Near-kernel singular values of a section, then an upper bound on the next one."""
+    """Near-kernel singular values of a section, then an upper bound on the next one.
+
+    That last value is a Courant-Fischer bound that moves with the real gauge
+    (by up to 99% between sign-equivalent gauges); it is no singular-value gap.
+    """
 
     window: int
     singular_values: np.ndarray        # ascending; only the last is >= KERNEL_THRESHOLD
@@ -403,7 +396,9 @@ def _near_kernel_singular_values(a: np.ndarray, start_columns: int) -> np.ndarra
     Returns the near-kernel values ascending, then sigma_min(a W), W the
     other right Ritz vectors (orthogonal to the near-kernel ones): by
     Courant-Fischer an upper bound on the next singular value, not that
-    value converged.  Every step costs time linear in the size of ``a``.
+    value converged: through the start block it depends on the real gauge of
+    ``a`` (sign-equivalent gauges moved it by up to 99%), so it is no
+    singular-value gap.  Every step costs time linear in the size of ``a``.
 
     Before iterating it computes Johnson's lower bound on sigma_min (C. R.
     Johnson, Linear Algebra Appl. 112, 1989), min_i (|a_ii| - (r_i + c_i) / 2)

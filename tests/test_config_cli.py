@@ -428,7 +428,7 @@ def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, m
     # halving every sampled eigenvalue moves the cloud off the closed-form sets
     exact = spectrum_module.symbol_eigenvalues
     monkeypatch.setattr(spectrum_module, "symbol_eigenvalues",
-                        lambda asym, z, m: 0.5 * exact(asym, z, m))
+                        lambda symbol, z: 0.5 * exact(symbol, z))
     path = large_gain_config(tmp_path, gamma)
     out_csv = tmp_path / "sets.csv"
     assert main(["spectrum", path, "--out", str(out_csv)]) == 3
@@ -438,14 +438,31 @@ def test_large_gain_spectrum_exits_3_when_the_oracle_exceeds(tmp_path, capsys, m
     assert parse_spectrum_csv(out_csv.read_text(encoding="utf-8"))["+inf"].case_tag == "III"
 
 
+@pytest.mark.parametrize("gamma", [50.0, 354.0])
+def test_large_gain_oracle_rejects_a_cloud_off_by_16_ulps(tmp_path, capsys, monkeypatch, gamma):
+    # the roundoff floor 16 eps max(1, Lambda_+) is the whole tolerance at
+    # large gain; a relative error of 16 eps in each value must exceed it
+    path = large_gain_config(tmp_path, gamma)
+    assert main(["spectrum", path]) == 0
+    assert capsys.readouterr().out.count(") ok\n") == 2
+    exact = spectrum_module.symbol_eigenvalues
+    eps = np.finfo(float).eps
+    monkeypatch.setattr(spectrum_module, "symbol_eigenvalues",
+                        lambda symbol, z: (1.0 + 16.0 * eps) * exact(symbol, z))
+    assert main(["spectrum", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.count(") EXCEEDED\n") == 2
+    assert captured.err.startswith("error: sampling oracle beyond") and captured.err.count("\n") == 1
+
+
 def test_spectrum_flags_a_cloud_that_covers_a_quarter_of_the_circle(capsys, monkeypatch):
     # every sampled value still lies on the closed-form set, so only the
     # set -> cloud side of the Hausdorff distance sees the missing samples
     exact = spectrum_module.symbol_eigenvalues
 
-    def quarter(asym, z, m):
+    def quarter(symbol, z):
         t = np.angle(z)
-        return exact(asym, z[(t >= 0.0) & (t < np.pi / 2)], m)
+        return exact(symbol, z[(t >= 0.0) & (t < np.pi / 2)])
 
     monkeypatch.setattr(spectrum_module, "symbol_eigenvalues", quarter)
     assert main(["spectrum", UM1]) == 3

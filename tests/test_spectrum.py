@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from chiralwalk import (
     classify_case,
     essential_spectrum,
     g_map,
+    reduce_to_um,
     sigma_star,
     symbol_eigenvalues,
-    symbol_matrix,
+    walk,
+    walk_operator,
 )
+from chiralwalk import models as models_module
+from chiralwalk.config import load_model_config
 from chiralwalk.models import MAX_SAMPLES
 from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 from chiralwalk.spectrum import SpectralSet
@@ -22,6 +28,7 @@ from chiralwalk.spectrum import SpectralSet
 from conftest import (
     contains,
     random_fredholm_params,
+    random_mko_params,
     random_um_params,
     real_profile,
     reference_params,
@@ -35,6 +42,8 @@ GAMMA_PLUS_REF = 2.6428272578437793
 LAMBDA_MINUS_REF = -0.9481359096302183
 LAMBDA_PLUS_REF = 1.0016333074824122
 G_LAMBDA_PLUS_REF = 1.05881094872579
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +268,20 @@ def test_distance_against_hand_points():
 # the 2x2 symbol
 # ---------------------------------------------------------------------------
 
+def symbol_matrices(params, star, z):
+    """The walk's endpoint symbol sum_y C_y z^y at each z, shape z.shape + (2, 2)."""
+    z = np.asarray(z, dtype=complex)
+    return sum(c * (z ** y)[..., None, None]
+               for y, c in walk(params).endpoint_symbol(star).items())
+
+
 def test_symbol_determinant_is_one_on_the_circle():
     rng = np.random.default_rng(42)
     for _ in range(10):
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=16))
         for star in (MINUS_INF, PLUS_INF):
-            mats = symbol_matrix(AsymptoticData.from_params(params, star), z, params.m)
+            mats = symbol_matrices(params, star, z)
             assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-12
 
 
@@ -276,7 +292,7 @@ def test_symbol_trace_formula():
         t = rng.uniform(0, 2 * np.pi, size=8)
         for star in (MINUS_INF, PLUS_INF):
             asym = AsymptoticData.from_params(params, star)
-            mats = symbol_matrix(asym, np.exp(1j * t), params.m)
+            mats = symbol_matrices(params, star, np.exp(1j * t))
             trace = mats[..., 0, 0] + mats[..., 1, 1]
             expected = 2 * (asym.p * asym.a * math.cosh(2 * asym.gamma)
                             + abs(asym.q * asym.b)
@@ -288,7 +304,7 @@ def test_symbol_is_unitary_without_gain():
     rng = np.random.default_rng(44)
     params = random_fredholm_params(rng, gamma_zero=True)
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 9))
-    mats = symbol_matrix(AsymptoticData.from_params(params, PLUS_INF), z, params.m)
+    mats = symbol_matrices(params, PLUS_INF, z)
     gram = np.einsum("...ji,...jk->...ik", mats.conj(), mats)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
@@ -299,7 +315,7 @@ def test_symbol_eigenvalue_pairs():
                          p=real_profile(1, 1), a=real_profile(1, 1),
                          q=ParameterProfile.constant(0.0),
                          b=ParameterProfile.constant(0.0))
-    eigs = symbol_eigenvalues(AsymptoticData.from_params(flat, PLUS_INF), 1.0, 1)
+    eigs = symbol_eigenvalues(walk(flat).endpoint_symbol(PLUS_INF), 1.0)
     assert np.max(np.abs(eigs - 1.0)) < 1e-12
 
     # oscillatory instance: conjugate pairs on the circle
@@ -308,7 +324,7 @@ def test_symbol_eigenvalue_pairs():
                            q=ParameterProfile.constant(math.sqrt(0.91)),
                            b=ParameterProfile.constant(0.6))
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 41))
-    eigs = symbol_eigenvalues(AsymptoticData.from_params(circle, PLUS_INF), z, 1)
+    eigs = symbol_eigenvalues(walk(circle).endpoint_symbol(PLUS_INF), z)
     assert np.max(np.abs(np.abs(eigs) - 1.0)) < 1e-9
     assert np.max(np.abs(eigs[:, 0] - eigs[:, 1].conj())) < 1e-9
 
@@ -317,7 +333,7 @@ def test_symbol_eigenvalue_pairs():
                          p=real_profile(0.8, 0.8), a=real_profile(0.8, 0.8),
                          q=ParameterProfile.constant(0.6),
                          b=ParameterProfile.constant(0.6))
-    eigs = symbol_eigenvalues(AsymptoticData.from_params(real, PLUS_INF), z, 1)
+    eigs = symbol_eigenvalues(walk(real).endpoint_symbol(PLUS_INF), z)
     assert np.max(np.abs(eigs.imag)) < 1e-9
     assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-9
 
@@ -327,11 +343,10 @@ def test_symbol_eigenvalue_product_is_always_one():
     for _ in range(10):
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=12))
-        asym = AsymptoticData.from_params(params, MINUS_INF)
         # symbol_eigenvalues takes the small root as 1 / big, so check the
         # determinant it relies on directly
-        assert np.max(np.abs(np.linalg.det(symbol_matrix(asym, z, params.m)) - 1.0)) < 1e-12
-        eigs = symbol_eigenvalues(asym, z, params.m)
+        assert np.max(np.abs(np.linalg.det(symbol_matrices(params, MINUS_INF, z)) - 1.0)) < 1e-12
+        eigs = symbol_eigenvalues(walk(params).endpoint_symbol(MINUS_INF), z)
         assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-12
 
 
@@ -342,9 +357,8 @@ def test_symbol_eigenvalues_match_a_general_eigensolve():
         params = random_fredholm_params(rng)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=32))
         for star in (MINUS_INF, PLUS_INF):
-            asym = AsymptoticData.from_params(params, star)
-            ours = symbol_eigenvalues(asym, z, params.m)
-            reference = np.linalg.eigvals(symbol_matrix(asym, z, params.m))
+            ours = symbol_eigenvalues(walk(params).endpoint_symbol(star), z)
+            reference = np.linalg.eigvals(symbol_matrices(params, star, z))
             # compare as unordered pairs: conjugate roots tie on the real part
             straight = np.abs(ours - reference).max(axis=1)
             swapped = np.abs(ours - reference[:, ::-1]).max(axis=1)
@@ -358,9 +372,8 @@ def test_large_gain_symbol_eigenvalues_stay_reciprocal_on_the_sets(gamma):
     params = reference_params(gamma=gamma)
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 64))
     for star in (MINUS_INF, PLUS_INF):
-        asym = AsymptoticData.from_params(params, star)
-        eigs = symbol_eigenvalues(asym, z, params.m)
-        sset = sigma_star(asym)
+        eigs = symbol_eigenvalues(walk(params).endpoint_symbol(star), z)
+        sset = sigma_star(AsymptoticData.from_params(params, star))
         assert np.all(np.isfinite(eigs))
         assert np.max(np.abs(eigs[:, 0] * eigs[:, 1] - 1.0)) < 1e-15
         assert np.max(sset.distance(eigs[:, 1]) / eigs[:, 1].real) < 1e-15
@@ -421,6 +434,73 @@ def test_case_tags_describe_the_cloud():
                 assert contains(ep.spectral_set, pole, 1e-9)
 
 
+def config_params_and_unitary_twins():
+    """The shipped configs, then each with its gain set to 0."""
+    params = [load_model_config(CONFIG_DIR / f"{name}.json").build()
+              for name in ("reference_um_m1", "reference_um_m2", "reference_mko")]
+    return params + [dataclasses.replace(p, gamma=ParameterProfile.constant(0.0)) for p in params]
+
+
+def test_the_cloud_lies_on_the_closed_form_set_to_16_eps_of_its_scale():
+    # the cloud is read off the walk operator, the set off the endpoint data,
+    # so membership tests the closed form against an independent computation
+    rng = np.random.default_rng(23)
+    cases = config_params_and_unitary_twins()
+    cases += [random_fredholm_params(rng, gamma_range=2.5) for _ in range(100)]
+    cases += [random_mko_params(rng) for _ in range(100)]
+    for params in cases:
+        result = essential_spectrum(params, 256)
+        for ep in (result.minus, result.plus):
+            assert ep.cloud_to_set <= 16.0 * EPS * max(1.0, ep.data.lam_plus)
+
+
+def same_pairs(cloud, other, tol):
+    """Whether two clouds agree pair by pair to ``tol`` relative, either order within a pair."""
+    cloud, other = cloud.reshape(-1, 2), other.reshape(-1, 2)
+    scale = np.maximum(1.0, np.abs(other).max(axis=1))
+    straight = np.abs(cloud - other).max(axis=1)
+    swapped = np.abs(cloud - other[:, ::-1]).max(axis=1)
+    return bool(np.all(np.minimum(straight, swapped) <= tol * scale))
+
+
+def test_the_two_step_oracle_samples_the_two_step_walk(monkeypatch):
+    built = []
+
+    def spy(params):
+        built.append(params)
+        return mko_walk(params)
+
+    mko_walk = models_module.mko_walk
+    monkeypatch.setattr(models_module, "mko_walk", spy)
+    rng = np.random.default_rng(24)
+    cases = [p for p in config_params_and_unitary_twins() if not isinstance(p, ModelParamsUm)]
+    cases += [random_mko_params(rng) for _ in range(10)]
+    for params in cases:
+        built.clear()
+        result = essential_spectrum(params, 512)
+        assert built == [params]
+        reduced = essential_spectrum(reduce_to_um(params), 512)
+        assert len(built) == 1
+        for ep, ref in ((result.minus, reduced.minus), (result.plus, reduced.plus)):
+            assert ep.spectral_set == ref.spectral_set
+            assert same_pairs(ep.cloud, ref.cloud, 1e-13)
+
+
+def test_the_walk_symbol_trace_is_real_on_the_circle():
+    # symbol_eigenvalues keeps only the real part of the trace: chiral
+    # symmetry leaves rounding in its imaginary part, for both model families
+    rng = np.random.default_rng(25)
+    z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=64))
+    cases = [random_fredholm_params(rng, gamma_range=2.5) for _ in range(20)]
+    cases += [random_mko_params(rng) for _ in range(20)]
+    for params in cases:
+        for star in (MINUS_INF, PLUS_INF):
+            symbol = walk_operator(params).endpoint_symbol(star)
+            trace = sum(np.trace(c) * z ** y for y, c in symbol.items())
+            scale = sum(np.abs(c).sum() for c in symbol.values())
+            assert np.max(np.abs(trace.imag)) <= 16.0 * EPS * scale
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError):
         essential_spectrum(reference_params(), 128)
@@ -448,14 +528,18 @@ def _shortened(sset, frac):
     """``sset`` with each piece cut by ``frac`` of its length.
 
     Arcs keep the end nearer the pole s and segments the end nearer 0, so a
-    Case II arc still ends at the pole and its segment still passes it.
+    Case II arc still ends at the pole and its segment still passes it.  A
+    segment of zero length (at gamma = 200 and 354 both ends of each segment
+    round to one float) is moved toward 0 by ``frac`` of its distance
+    instead, so that it is wrong too.
     """
     def cut(pieces, keep_upper):
         return tuple((u + frac * (v - u), v) if keep_upper else (u, v - frac * (v - u))
                      for u, v in pieces)
     up = sset.sign_tag == 1
-    return SpectralSet(cut(sset.arcs, up), cut(sset.segments, not up),
-                       sset.case_tag, sset.sign_tag)
+    segments = tuple((u * (1.0 - frac),) * 2 if u == v else (u, v)
+                     for u, v in cut(sset.segments, not up))
+    return SpectralSet(cut(sset.arcs, up), segments, sset.case_tag, sset.sign_tag)
 
 
 @pytest.fixture(scope="module")

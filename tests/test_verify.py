@@ -255,7 +255,7 @@ def test_truncation_budget():
 
 def operator_spectrum(monkeypatch, op, window):
     """:func:`truncated_spectrum` with ``op`` standing in for the walk."""
-    monkeypatch.setattr(verify_module, "_walk_operator", lambda params: op)
+    monkeypatch.setattr(verify_module, "walk_operator", lambda params: op)
     return truncated_spectrum(None, window)
 
 
