@@ -7,13 +7,13 @@ All coefficients are eventually constant (:class:`ParameterProfile`), so
 composition, adjoints and endpoint limits (:meth:`BandedOperator.endpoint_symbol`,
 the one source of every endpoint symbol) are computed exactly at the
 coefficient level.  Matrices enter only through finite sections, all built
-from the same vectorised entries (:meth:`BandedOperator.section_triplets`):
-:mod:`chiralwalk.verify` assembles its dense eigensolves and the
-three-diagonal band of its kernel witness from those entries directly,
-:meth:`BandedOperator.sparse_section` gives them as a sparse CSR array (for
-the sparse products of the residuals, the only sparse matrices), and
-:meth:`BandedOperator.finite_section` as a dense array (the dense reference
-the tests compare against).
+from one assembly, :meth:`BandedOperator.section_diagonals`: one array per
+coefficient over the window's row sites.  :mod:`chiralwalk.verify`
+multiplies those diagonals for its residuals, and assembles its dense
+eigensolves and the three-diagonal band of its kernel witness from their
+flat ``(rows, cols, vals)`` view, :meth:`BandedOperator.section_triplets`;
+:meth:`BandedOperator.finite_section` scatters that view into a dense array
+(the dense reference the tests compare against).  No sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -150,34 +150,42 @@ class BandedOperator:
 
     # -- finite sections -------------------------------------------------------
 
+    def section_diagonals(self, window: int) -> dict:
+        """The section on sites [-N, N] as ``{(i, j, y): values}``, one diagonal per coefficient.
+
+        ``values[x + N]`` is the entry at row (x, i), column (x + y, j) for
+        every row site x of the window, and 0 where x + y leaves the window.
+        This is the only code that evaluates coefficient profiles on a window.
+        """
+        N = int(window)
+        k = self.bandwidth
+        if N < k:
+            raise ValueError(f"window {N} smaller than bandwidth {k}")
+        xs = np.arange(-N, N + 1)
+        out = {}
+        for (i, j, y), prof in self.coeff.items():
+            vals = prof.values(xs)
+            vals[:max(0, -y)] = 0.0
+            vals[len(xs) - max(0, y):] = 0.0
+            out[(i, j, y)] = vals
+        return out
+
     def section_triplets(self, window: int):
-        """``(rows, cols, vals)`` of every entry of the section on [-N, N].
+        """``(rows, cols, vals)`` of every entry of :meth:`section_diagonals` inside the window.
 
         Each coefficient ``(i, j, y)`` contributes one entry per site ``x``
         with ``x`` and ``x + y`` inside the window; no two coefficients share
         an entry.
         """
         N = int(window)
-        k = self.bandwidth
-        if N < k:
-            raise ValueError(f"window {N} smaller than bandwidth {k}")
         n = self.block_size
         rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-        for (i, j, y), prof in self.coeff.items():
-            xs = np.arange(max(-N, -N - y), min(N, N - y) + 1)
-            rows.append((xs + N) * n + i)
-            cols.append((xs + y + N) * n + j)
-            vals.append(prof.values(xs))
+        for (i, j, y), diag in self.section_diagonals(N).items():
+            lo, hi = max(0, -y), min(len(diag), len(diag) - y)
+            rows.append(np.arange(lo, hi) * n + i)
+            cols.append(np.arange(lo + y, hi + y) * n + j)
+            vals.append(diag[lo:hi])
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-    def sparse_section(self, window: int):
-        """Compression to sites [-N, N] as a CSR array (same entries as :meth:`finite_section`)."""
-        # imported here: index and spectrum never build a section and load numpy only
-        from scipy import sparse
-
-        size = self.block_size * (2 * int(window) + 1)
-        rows, cols, vals = self.section_triplets(window)
-        return sparse.csr_array((vals, (rows, cols)), shape=(size, size))
 
     def finite_section(self, window: int) -> "FiniteSection":
         """Dense compression to sites [-N, N] with zero padding outside."""
@@ -185,8 +193,7 @@ class BandedOperator:
         n = self.block_size
         size = n * (2 * N + 1)
         rows, cols, vals = self.section_triplets(N)
-        # Scatter into zeros rather than densify the CSR array: only the band
-        # is written, so untouched pages of a large section are never mapped.
+        # Only the band is written, so untouched pages of a large section are never mapped.
         mat = np.zeros((size, size), dtype=complex)
         mat[rows, cols] += vals
         return FiniteSection(N, n, mat)

@@ -262,7 +262,7 @@ def sigma_star(asym: AsymptoticData) -> SpectralSet:
 # ---------------------------------------------------------------------------
 
 def symbol_eigenvalues(symbol: dict, z) -> np.ndarray:
-    """Eigenvalue pairs of a walk's endpoint symbol ``{y: C_y}``, deterministically ordered.
+    """Eigenvalue pairs of a walk's endpoint symbol ``{y: C_y}``, the root of modulus >= 1 first.
 
     The symbol sum_y C_y z^y has determinant 1, so its eigenvalues are the
     reciprocal roots h +- sqrt(h^2 - 1) of x^2 - 2 h x + 1 with h = trace / 2
@@ -273,12 +273,13 @@ def symbol_eigenvalues(symbol: dict, z) -> np.ndarray:
     symbol be chirally symmetric, as every walk symbol is: there h is real,
     and its imaginary rounding would move the roots off the set by its square
     root where they meet.  Elsewhere the imaginary part is not rounding and
-    the result is wrong.
+    the result is wrong.  The first root of a pair on the unit circle is the
+    one with Im >= 0, so the pair order cannot flip with the last bit of h.
     """
     z = np.asarray(z, dtype=complex)
     h = sum(0.5 * np.trace(c) * z ** y for y, c in sorted(symbol.items())).real + 0j
     big = h + np.sqrt(h - 1.0) * np.sqrt(h + 1.0)
-    return np.sort_complex(np.stack([big, 1.0 / big], axis=-1))
+    return np.stack([big, 1.0 / big], axis=-1)
 
 
 def hausdorff_tolerance(data: EndpointSpectrumData, m: int, resolution: int) -> float:

@@ -4,13 +4,15 @@ Everything here works on finite sections, deliberately independent of the
 exact coefficient-level algebra: residuals are built from sections and their
 conjugate transposes only (the section of an adjoint is the conjugate
 transpose of the section).  Residuals and the kernel witness cost time
-linear in the window: residuals compare sparse matrix products of finite
-sections on interior rows; the witness holds the off-diagonal block as three
-diagonals, factors their banded Hermitian dilation H once, shifted by half
-the kernel threshold, and runs a block inverse iteration on (H^2 - s^2)^-1
-(two solves on that one factorisation per step) that returns the near-kernel
-singular values plus an upper bound on the next one, unless a
-diagonal-dominance bound already shows that there is no near-kernel.  Dense
+linear in the window: residuals compare products of finite sections on
+interior rows, each section held as one diagonal per coefficient
+(:meth:`~chiralwalk.lattice.BandedOperator.section_diagonals`) and
+multiplied by slice multiply-adds; the witness holds the off-diagonal block
+as three diagonals, factors their banded Hermitian dilation H once, shifted
+by half the kernel threshold, and runs a block inverse iteration on
+(H^2 - s^2)^-1 (two solves on that one factorisation per step) that returns
+the near-kernel singular values plus an upper bound on the next one, unless
+a diagonal-dominance bound already shows that there is no near-kernel.  Dense
 matrices appear only where a full spectrum is needed (truncated spectra,
 which also give the bound states), and :data:`DENSE_BUDGET` bounds their window.
 
@@ -86,33 +88,75 @@ class VerificationError(RuntimeError):
     """A finite-section check failed; the message starts with the check's name."""
 
 
-def _interior_max(diff, window: int, block_size: int, margin: int) -> float:
-    """Max |entry| of the sparse ``diff`` over block rows at distance >= margin from the edge."""
-    if margin > window:
-        raise ValueError(f"window {window} leaves no interior at margin {margin}")
-    rows = diff[block_size * margin:block_size * (2 * window + 1 - margin)]
-    return float(np.max(np.abs(rows.data), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
+def _section_product(a: dict, b: dict) -> dict:
+    """Product of two sections in the :meth:`~BandedOperator.section_diagonals` layout.
+
+    Row x of diagonal (i, l, y1) meets row x + y1 of diagonal (l, j, y2):
+    each such pair adds ``a[x] * b[x + y1]`` into (i, j, y1 + y2) as one
+    slice multiply-add over the rows whose inner site x + y1 lies in the
+    window.  Every entry sums its terms in ascending inner site, then
+    component, as the matrix product of the two sections does.
+    """
+    by_row = {}
+    for (l, j, y2), v in b.items():
+        by_row.setdefault(l, []).append((j, y2, v))
+    out = {}
+    for (i, l, y1), u in sorted(a.items(), key=lambda item: (item[0][2], item[0][1])):
+        lo, hi = max(0, -y1), min(len(u), len(u) - y1)
+        for j, y2, v in by_row.get(l, ()):
+            key = (i, j, y1 + y2)
+            if key not in out:
+                out[key] = np.zeros(len(u), dtype=complex)
+            out[key][lo:hi] += u[lo:hi] * v[lo + y1:hi + y1]
+    return out
+
+
+def _section_adjoint(a: dict) -> dict:
+    """Conjugate transpose of a section in the :meth:`~BandedOperator.section_diagonals` layout.
+
+    The entry at row (x, i), column (x + y, j) moves to row (x + y, j),
+    column (x, i): diagonal (i, j, y) becomes (j, i, -y), conjugated and
+    moved y rows down.
+    """
+    out = {}
+    for (i, j, y), u in a.items():
+        lo, hi = max(0, y), min(len(u), len(u) + y)
+        v = np.zeros_like(u)
+        v[lo:hi] = u[lo - y:hi - y].conj()
+        out[(j, i, -y)] = v
+    return out
+
+
+def _interior_max(lhs: dict, rhs: dict, window: int, margin: int) -> float:
+    """Max |entry| of section ``lhs`` - section ``rhs`` over rows at distance >= margin from the edge."""
+    if margin > window:
+        raise ValueError(f"window {window} leaves no interior at margin {margin}")
+    rows = slice(margin, 2 * window + 1 - margin)
+    worst = 0.0
+    for key in lhs.keys() | rhs.keys():
+        diff = lhs.get(key, 0.0) - rhs.get(key, 0.0)
+        worst = max(worst, float(np.max(np.abs(diff[rows]))))
+    return worst
+
+
 def chiral_residual_operators(grading_op: BandedOperator, walk_op: BandedOperator, window: int) -> float:
     """Max interior entry of section(walk*) - section(grading walk grading)."""
     margin = 2 * grading_op.bandwidth + walk_op.bandwidth
-    sec_u = walk_op.sparse_section(window)
-    sec_g = grading_op.sparse_section(window)
-    diff = sec_u.conj().T.tocsr() - sec_g @ sec_u @ sec_g
-    return _interior_max(diff, window, walk_op.block_size, margin)
+    sec_u = walk_op.section_diagonals(window)
+    sec_g = grading_op.section_diagonals(window)
+    conjugated = _section_product(_section_product(sec_g, sec_u), sec_g)
+    return _interior_max(_section_adjoint(sec_u), conjugated, window, margin)
 
 
 def involution_residual_operators(grading_op: BandedOperator, window: int) -> float:
     """Max interior entry of section(grading)^2 - identity."""
-    n = grading_op.block_size
-    sec = grading_op.sparse_section(window)
-    diff = sec @ sec - BandedOperator.identity(n).sparse_section(window)
-    return _interior_max(diff, window, n, 2 * grading_op.bandwidth)
+    sec = grading_op.section_diagonals(window)
+    identity = BandedOperator.identity(grading_op.block_size).section_diagonals(window)
+    return _interior_max(_section_product(sec, sec), identity, window, 2 * grading_op.bandwidth)
 
 
 def equivalence_residual(params: ModelParamsMko, window: int) -> float:
@@ -120,11 +164,11 @@ def equivalence_residual(params: ModelParamsMko, window: int) -> float:
     um, eta = mko_to_um(params)
     walk_mko = mko_walk(params)
     margin = 2 * eta.bandwidth + walk_mko.bandwidth
-    sec = walk_mko.sparse_section(window)
-    s_eta = eta.sparse_section(window)
-    conjugated = s_eta.conj().T.tocsr() @ sec @ s_eta
-    reduced = walk(um).sparse_section(window)
-    return _interior_max(conjugated - reduced, window, walk_mko.block_size, margin)
+    sec = walk_mko.section_diagonals(window)
+    s_eta = eta.section_diagonals(window)
+    conjugated = _section_product(_section_product(_section_adjoint(s_eta), sec), s_eta)
+    reduced = walk(um).section_diagonals(window)
+    return _interior_max(conjugated, reduced, window, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +458,7 @@ def _near_kernel_singular_values(a: np.ndarray, start_columns: int) -> np.ndarra
     off_diagonal = np.abs(a_adj).sum(axis=0) + columns - 2.0 * diag    # |a*|'s columns: |a|'s rows
     if np.min(diag - 0.5 * off_diagonal) > KERNEL_THRESHOLD:
         return np.array([np.min(columns)])
-    # imported here, as in every section builder: index and spectrum load numpy only
+    # imported here, scipy's only use: index, spectrum and the residuals load numpy only
     from scipy.linalg import get_lapack_funcs
 
     u = _DILATION_BANDWIDTH

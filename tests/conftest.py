@@ -8,11 +8,28 @@ import numpy as np
 import pytest
 
 from chiralwalk import ModelParamsMko, ModelParamsUm
+from chiralwalk.lattice import BandedOperator
 from chiralwalk.profiles import ParameterProfile
 
 
 def real_profile(left, right, overrides=None):
     return ParameterProfile(left, right, overrides or {})
+
+
+def random_operator(rng, block_size=2, bandwidth=1, sites=3):
+    def prof():
+        overrides = {int(s): complex(rng.standard_normal(), rng.standard_normal())
+                     for s in rng.integers(-3, 4, size=sites)}
+        return ParameterProfile(
+            complex(rng.standard_normal(), rng.standard_normal()),
+            complex(rng.standard_normal(), rng.standard_normal()),
+            overrides,
+        )
+
+    coeff = {(i, j, y): prof()
+             for i in range(block_size) for j in range(block_size)
+             for y in range(-bandwidth, bandwidth + 1)}
+    return BandedOperator(block_size, coeff)
 
 
 def reference_params(m: int = 1, gamma: float = 0.4) -> ModelParamsUm:

@@ -266,6 +266,16 @@ def test_out_of_range_numbers_exit_1_with_one_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path, window, message", [
+    (MKO, "1", "window 1 smaller than bandwidth 2"),
+    (UM2, "3", "window 3 leaves no interior at margin 6"),
+])
+def test_verify_below_the_section_bandwidth_or_margin_exits_1_with_its_message(path, window,
+                                                                              message, capsys):
+    assert main(["verify", path, "--window", window]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, options, flags, named", [
     ("verify", {"window": "abc"}, [], "options.window: expected an integer"),
     ("verify", {"window": 100.5}, [], "options.window: expected an integer"),
@@ -612,21 +622,31 @@ def test_the_parser_is_built_on_the_first_call_and_reused():
     assert fresh_stdout(code).split() == ["0", "1", "1"]
 
 
-def test_verify_loads_only_scipy_sparse_and_linalg():
-    # scipy.sparse.csgraph alone would add 45 modules
+def test_verify_loads_only_scipy_linalg():
+    # the kernel witness's banded LU is scipy's only use
     code = ("import contextlib, io\nfrom chiralwalk.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['verify', {UM2!r}, '--window', '40']) == 0")
     loaded = scipy_modules_after(code)
-    assert "scipy.sparse.csgraph" not in loaded
     public = {name.split(".")[1] for name in loaded
               if "." in name and not name.split(".")[1].startswith("_")}
-    assert public - {"version"} == {"linalg", "sparse"}
+    assert public - {"version"} == {"linalg"}
+
+
+def test_the_residuals_load_no_scipy():
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "from conftest import reference_params\nfrom chiralwalk.models import build_pair\n"
+            "from chiralwalk.config import load_model_config\nfrom chiralwalk.verify import (\n"
+            "    chiral_residual_operators, equivalence_residual, involution_residual_operators)\n"
+            "grading_op, walk_op = build_pair(reference_params(m=2))\n"
+            "assert chiral_residual_operators(grading_op, walk_op, 40) < 1e-12\n"
+            "assert involution_residual_operators(grading_op, 40) < 1e-12\n"
+            f"assert equivalence_residual(load_model_config({MKO!r}).build(), 40) < 1e-12")
+    assert scipy_modules_after(code) == set()
 
 
 def test_the_kernel_witness_loads_scipy_linalg_but_no_scipy_sparse():
-    # the witness holds the block as three diagonals; only the residuals
-    # build sparse matrices
+    # the witness holds the block as three diagonals and builds no sparse matrix
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
             "from conftest import reference_params\nfrom chiralwalk import kernel_witness\n"
             "assert kernel_witness(reference_params(m=2), 300).count == 2")

@@ -5,23 +5,7 @@ from chiralwalk.lattice import BandedOperator, compose, finite_section
 from chiralwalk.models import grading, mko_grading, mko_to_um, mko_walk, walk
 from chiralwalk.profiles import ParameterProfile
 
-from conftest import reference_mko_params, reference_params, rows_within
-
-
-def random_operator(rng, block_size=2, bandwidth=1, sites=3):
-    def prof():
-        overrides = {int(s): complex(rng.standard_normal(), rng.standard_normal())
-                     for s in rng.integers(-3, 4, size=sites)}
-        return ParameterProfile(
-            complex(rng.standard_normal(), rng.standard_normal()),
-            complex(rng.standard_normal(), rng.standard_normal()),
-            overrides,
-        )
-
-    coeff = {(i, j, y): prof()
-             for i in range(block_size) for j in range(block_size)
-             for y in range(-bandwidth, bandwidth + 1)}
-    return BandedOperator(block_size, coeff)
+from conftest import random_operator, reference_mko_params, reference_params, rows_within
 
 
 def test_scalar_coefficients_coerce_to_constant_profiles():
@@ -180,13 +164,26 @@ def model_operators():
 
 @pytest.mark.parametrize("name", sorted(model_operators()))
 def test_sparse_and_dense_sections_match_the_site_loop_bit_for_bit(name):
+    # "sparse" is the per-coefficient diagonal layout and its flat triplet view;
+    # both are added onto zeros, as the loop adds each value, so -0 reads +0
     op = model_operators()[name]
+    n = op.block_size
     for window in (op.bandwidth, 50):
         reference = loop_section(op, window)
         assert finite_section(op, window).matrix.tobytes() == reference.tobytes()
-        sparse = op.sparse_section(window)
-        assert sparse.shape == reference.shape
-        assert sparse.toarray().tobytes() == reference.tobytes()
+        diagonals = op.section_diagonals(window)
+        assert set(diagonals) == set(op.coeff)
+        rows = np.arange(2 * window + 1)
+        for (i, j, y), diag in diagonals.items():
+            inside = (rows + y >= 0) & (rows + y <= 2 * window)
+            expected = np.zeros(2 * window + 1, dtype=complex)
+            expected[inside] = reference[rows[inside] * n + i, (rows[inside] + y) * n + j]
+            assert (0.0 + diag).tobytes() == expected.tobytes()
+        r, c, vals = op.section_triplets(window)
+        assert len(set(zip(r.tolist(), c.tolist()))) == len(r)
+        scattered = np.zeros_like(reference)
+        scattered[r, c] += vals
+        assert scattered.tobytes() == reference.tobytes()
 
 
 def test_bandwidth_is_derived_from_the_nonzero_coefficients():
@@ -198,9 +195,11 @@ def test_bandwidth_is_derived_from_the_nonzero_coefficients():
         BandedOperator(2, 1, {})
 
 
-def test_sparse_section_of_the_zero_operator_is_empty():
+def test_the_zero_operator_has_no_section_diagonals():
     zero = BandedOperator(2, {})
-    assert zero.sparse_section(3).nnz == 0
+    assert zero.section_diagonals(3) == {}
+    assert all(len(part) == 0 for part in zero.section_triplets(3))
     assert not finite_section(zero, 3).matrix.any()
-    with pytest.raises(ValueError):
-        BandedOperator.shift(3).sparse_section(2)
+    for assemble in (BandedOperator.section_diagonals, BandedOperator.section_triplets):
+        with pytest.raises(ValueError, match="^window 2 smaller than bandwidth 3$"):
+            assemble(BandedOperator.shift(3), 2)

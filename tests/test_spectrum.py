@@ -366,6 +366,23 @@ def test_symbol_eigenvalues_match_a_general_eigensolve():
             assert np.max(np.minimum(straight, swapped) / scale) < 1e-9
 
 
+def test_symbol_eigenvalue_pairs_keep_their_order_under_a_one_ulp_change_of_the_trace():
+    # a pair on the circle ties on the real part up to roundoff, so ordering
+    # by it flipped with the last bit; the root of modulus >= 1 comes first,
+    # and on the circle that is the one with Im >= 0
+    for trace in np.concatenate([np.linspace(-3.0, 3.0, 601), [-2.0, 2.0]]):
+        traces = (np.nextafter(trace, -np.inf), trace, np.nextafter(trace, np.inf))
+        pairs = [symbol_eigenvalues({0: np.array([[t, 1.0], [-1.0, 0.0]])}, 1.0) for t in traces]
+        for t, (first, second) in zip(traces, pairs):
+            assert abs(first) >= 1.0 - 2 * EPS
+            if abs(t) < 2.0:
+                assert first.imag >= 0.0 >= second.imag
+            elif abs(t) > 2.0:
+                assert abs(first) > 1.0 > abs(second)
+        for pair in pairs:
+            assert np.max(np.abs(pair - pairs[1])) < 1e-6
+
+
 @pytest.mark.parametrize("gamma", [50.0, 200.0, 354.0])
 def test_large_gain_symbol_eigenvalues_stay_reciprocal_on_the_sets(gamma):
     # a general 2x2 eigensolve returned a small root of modulus ~0.975 at gamma = 50

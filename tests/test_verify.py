@@ -49,6 +49,7 @@ from chiralwalk.verify import (
 
 from conftest import (
     random_fredholm_params,
+    random_operator,
     random_mko_params,
     random_real_profile,
     random_um_params,
@@ -111,6 +112,52 @@ def test_sparse_residuals_match_dense_products():
         dense = dense_interior_max(sec, 2 * eta.bandwidth + mko_op.bandwidth,
                                    e_adj @ sec.matrix @ e - reduced)
         assert abs(equivalence_residual(params, window) - dense) <= 1e-15
+
+
+def diagonals_matrix(diagonals, window, block_size):
+    """Dense matrix of a section in the ``section_diagonals`` layout; asserts 0 outside the window."""
+    rows = np.arange(2 * window + 1)
+    mat = np.zeros((block_size * len(rows),) * 2, dtype=complex)
+    for (i, j, y), diag in diagonals.items():
+        inside = (rows + y >= 0) & (rows + y <= 2 * window)
+        assert not diag[~inside].any()
+        mat[rows[inside] * block_size + i, (rows[inside] + y) * block_size + j] = diag[inside]
+    return mat
+
+
+def test_section_products_and_adjoints_match_the_dense_sections_on_every_row():
+    # boundary rows included: the residuals read only the interior ones.  The
+    # reference adds the terms of each entry in ascending inner index, that is
+    # inner site, then component, the order the product promises
+    rng = np.random.default_rng(54)
+    mko = random_mko_params(rng)
+    pairs = [build_pair(random_fredholm_params(rng)) for _ in range(3)]
+    pairs += [(mko_to_um(mko)[1], mko_walk(mko)), (walk(reduce_to_um(mko)), mko_walk(mko)),
+              (random_operator(rng, 3, 2), random_operator(rng, 3, 1))]
+    for left, right in pairs:
+        n = left.block_size
+        for window in (max(left.bandwidth, right.bandwidth), 20):
+            a, b = left.finite_section(window).matrix, right.finite_section(window).matrix
+            product = verify_module._section_product(left.section_diagonals(window),
+                                                     right.section_diagonals(window))
+            ordered = np.zeros_like(a)
+            for k in range(len(a)):
+                ordered += np.multiply.outer(a[:, k], b[k])
+            assert np.array_equal(diagonals_matrix(product, window, n), ordered)
+            adjoint = verify_module._section_adjoint(right.section_diagonals(window))
+            assert np.array_equal(diagonals_matrix(adjoint, window, n), b.conj().T)
+
+
+def test_interior_max_reads_the_rows_at_distance_margin_or_more():
+    window, margin = 5, 2
+    for row in range(2 * window + 1):
+        spike = np.zeros(2 * window + 1, dtype=complex)
+        spike[row] = -3.0
+        inside = 3.0 * (margin <= row <= 2 * window - margin)
+        assert verify_module._interior_max({(0, 0, 0): spike}, {}, window, margin) == inside
+        assert verify_module._interior_max({}, {(1, 0, -2): spike}, window, margin) == inside
+    with pytest.raises(ValueError, match="^window 5 leaves no interior at margin 6$"):
+        verify_module._interior_max({}, {}, window, 6)
 
 
 def test_residuals_take_no_coefficient_level_adjoint(monkeypatch):
@@ -460,8 +507,8 @@ def test_the_interior_of_a_block_section_is_the_section_at_the_inner_window(name
         um = reduce_to_um(load_model_config(CONFIG_DIR / f"{name}.json").build())
     block = offdiag_block(um)
     k, window = block.bandwidth, 50
-    interior = block.sparse_section(window)[k:2 * window + 1 - k, k:2 * window + 1 - k]
-    assert interior.toarray().tobytes() == block.sparse_section(window - k).toarray().tobytes()
+    interior = block.finite_section(window).matrix[k:2 * window + 1 - k, k:2 * window + 1 - k]
+    assert interior.tobytes() == block.finite_section(window - k).matrix.tobytes()
 
 
 def test_witness_counts_grow_to_the_index_and_stay_monotone():
