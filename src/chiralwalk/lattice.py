@@ -9,11 +9,12 @@ the one source of every endpoint symbol) are computed exactly at the
 coefficient level.  Matrices enter only through finite sections, all built
 from one assembly, :meth:`BandedOperator.section_diagonals`: one array per
 coefficient over the window's row sites.  :mod:`chiralwalk.verify`
-multiplies those diagonals for its residuals, and assembles its dense
-eigensolves and the three-diagonal band of its kernel witness from their
-flat ``(rows, cols, vals)`` view, :meth:`BandedOperator.section_triplets`;
-:meth:`BandedOperator.finite_section` scatters that view into a dense array
-(the dense reference the tests compare against).  No sparse matrix is built.
+multiplies those diagonals for its residuals and strides them into one
+section per residue class for its dense eigensolves and kernel witness.
+:func:`section_triplets` is the flat ``(rows, cols, vals)`` view of any
+section in that layout; :meth:`BandedOperator.finite_section` scatters it
+into a dense array (the dense reference the tests compare against).  No
+sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -170,29 +171,12 @@ class BandedOperator:
             out[(i, j, y)] = vals
         return out
 
-    def section_triplets(self, window: int):
-        """``(rows, cols, vals)`` of every entry of :meth:`section_diagonals` inside the window.
-
-        Each coefficient ``(i, j, y)`` contributes one entry per site ``x``
-        with ``x`` and ``x + y`` inside the window; no two coefficients share
-        an entry.
-        """
-        N = int(window)
-        n = self.block_size
-        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-        for (i, j, y), diag in self.section_diagonals(N).items():
-            lo, hi = max(0, -y), min(len(diag), len(diag) - y)
-            rows.append(np.arange(lo, hi) * n + i)
-            cols.append(np.arange(lo + y, hi + y) * n + j)
-            vals.append(diag[lo:hi])
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
     def finite_section(self, window: int) -> "FiniteSection":
         """Dense compression to sites [-N, N] with zero padding outside."""
         N = int(window)
         n = self.block_size
         size = n * (2 * N + 1)
-        rows, cols, vals = self.section_triplets(N)
+        rows, cols, vals = section_triplets(self.section_diagonals(N), n)
         # Only the band is written, so untouched pages of a large section are never mapped.
         mat = np.zeros((size, size), dtype=complex)
         mat[rows, cols] += vals
@@ -215,6 +199,23 @@ class FiniteSection:
     def block_sites(self) -> np.ndarray:
         """Lattice site of each flat row index."""
         return np.repeat(np.arange(-self.window, self.window + 1), self.block_size)
+
+
+def section_triplets(diagonals: dict, block_size: int):
+    """``(rows, cols, vals)`` of every entry of a section in the :meth:`~BandedOperator.section_diagonals` layout.
+
+    Diagonal ``(i, j, y)`` puts the entry of each row site x (counted from
+    0) whose column x + y is in the section at (x n + i, (x + y) n + j), n
+    the block size; no two diagonals share an entry.
+    """
+    n = block_size
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    for (i, j, y), diag in diagonals.items():
+        lo, hi = max(0, -y), min(len(diag), len(diag) - y)
+        rows.append(np.arange(lo, hi) * n + i)
+        cols.append(np.arange(lo + y, hi + y) * n + j)
+        vals.append(diag[lo:hi])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 # Function forms of the two operations the benchmark's span tracer times by name

@@ -18,14 +18,13 @@ which also give the bound states), and :data:`DENSE_BUDGET` bounds their window.
 
 Both the walk and the off-diagonal block couple only sites ``step`` apart,
 ``step`` the gcd of their coefficient offsets (m for an m-step walk and its
-block, 2 for the two-step walk).  One assembly, :func:`_class_ordered`,
-orders a section's rows and columns by residue class of the sites mod
-``step``, which makes the section a direct sum of one block per class.  The
-walk's section is then solved by ``step`` dense eigensolves of size N/step,
-and its dense memory scales with (N/step)^2.  The block's classes are
-tridiagonal, and a unitary diagonal gauge on each side makes them real
-without changing the singular values: the witness runs LAPACK's real band
-solver (``dgbtrf``) on a dilation of bandwidth 3.
+block, 2 for the two-step walk), so a section is the direct sum of one
+section per residue class of the sites mod ``step``, each a stride of the
+section's diagonals (:func:`_class_sections`).  The walk's section is solved
+by ``step`` dense eigensolves of size N/step in dense memory (N/step)^2.  The
+block's class sections are tridiagonal, and a unitary diagonal gauge on each
+side makes them real without changing the singular values: the witness runs
+LAPACK's real band solver (``dgbtrf``) on a dilation of bandwidth 3.
 
 Walk sections are solved in real arithmetic.  The grading and the coin are
 Hermitian and couple the sites along disjoint paths, so a diagonal phase
@@ -35,11 +34,11 @@ times less time than the complex one (``zgeev``) on a 402 x 402 walk section
 (2-CPU x86_64 host, numpy's OpenBLAS), and D* A D has the eigenvalues of A
 and eigenvectors of the same modulus, so the spectra and the edge tags are
 those of the complex solve up to roundoff.  :func:`_phase_gauge` finds D
-from the sparsity pattern alone; a section that no gauge makes real (the
-check is 8 eps max|entry|) is solved complex.  The truncated spectrum of a
-non-unitary walk is ill-conditioned at large gain: from gamma ~ 8 on, which
-eigenvectors count as edge-localised depends on roundoff, so the real and
-the complex solver can report different counts.
+from the sparsity pattern alone; a class that no gauge makes real (the
+check is 8 eps times the class's largest entry) is solved complex.  The
+truncated spectrum of a non-unitary walk is ill-conditioned at large gain:
+from gamma ~ 8 on, which eigenvectors count as edge-localised depends on
+roundoff, so the real and the complex solver can report different counts.
 
 The chiral and two-step residuals are compared with the tolerance after
 division by max(1, max|walk entry|): their roundoff is about eps times that
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index import IndexReport, compute_index
-from .lattice import BandedOperator
+from .lattice import BandedOperator, section_triplets
 from .models import (
     InvalidParameters,
     ModelParamsMko,
@@ -284,45 +283,40 @@ def _real_band(band: np.ndarray) -> np.ndarray:
     return real
 
 
-def _class_ordered(op: BandedOperator, window: int):
-    """Entries of ``op``'s section with rows and columns ordered by residue class mod ``step``.
+def _class_sections(op: BandedOperator, window: int):
+    """Yield ``(sites, section)`` for each residue class of the sites mod ``step``.
 
-    ``op`` couples only sites ``step`` apart, ``step`` the gcd of its
-    coefficient offsets (1 when it has none or only on-site ones), so this
-    permutation makes its section the direct sum of one block per class.
-    Returns ``(sites, starts, rows, cols, vals)``: the lattice site of each
-    relabelled row, the ``step + 1`` class boundaries, and the
-    :meth:`~BandedOperator.section_triplets` entries relabelled.  The sort
-    is stable, so within a class the sites stay in ascending order.
+    ``step`` is the gcd of ``op``'s coefficient offsets (1 when it has none
+    or only on-site ones).  Class r = 0 .. step - 1 holds the sites = r mod
+    step in ascending order; ``sites`` is the lattice site of each of its flat
+    rows, and ``section`` is in the :meth:`~BandedOperator.section_diagonals`
+    layout: each diagonal strided to the class's rows, at offset y / step.
     """
-    offsets = np.array([y for _, _, y in op.coeff], dtype=int)
-    step = int(np.gcd.reduce(offsets)) or 1
-    rows, cols, vals = op.section_triplets(window)
-    sites = np.repeat(np.arange(-window, window + 1), op.block_size)
-    order = np.argsort(sites % step, kind="stable")
-    position = np.argsort(order)                     # new index of each old row
-    sites = sites[order]
-    starts = np.searchsorted(sites % step, np.arange(step + 1))
-    return sites, starts, position[rows], position[cols], vals
+    step = int(np.gcd.reduce(np.array([y for _, _, y in op.coeff], dtype=int))) or 1
+    diagonals = op.section_diagonals(window)
+    xs = np.arange(-window, window + 1)
+    for r in range(step):
+        first = (r + window) % step
+        yield (np.repeat(xs[first::step], op.block_size),
+               {(i, j, y // step): d[first::step] for (i, j, y), d in diagonals.items()})
 
 
 def _class_blocks(walk_op: BandedOperator, window: int):
-    """Yield ``(sites, block)`` for each residue class of :func:`_class_ordered`.
+    """Yield ``(sites, block)`` for each residue class of :func:`_class_sections`.
 
-    Each dense block of size N/step is scattered straight from the entries
-    gauged by :func:`_real_gauge` (so walk sections reach LAPACK's real
-    solver; the gauged D* A D is similar to A, with eigenvectors D* v of
+    Each dense block of size N/step is scattered straight from its class's
+    entries, gauged by :func:`_real_gauge` (so walk sections reach LAPACK's
+    real solver; the gauged D* A D is similar to A, with eigenvectors D* v of
     the same modulus), and only one block is built at a time: memory scales
     with (N/step)^2.
     """
     _check_dense_budget(window)
-    sites, starts, rows, cols, vals = _class_ordered(walk_op, window)
-    vals = _real_gauge(rows, cols, vals, len(sites))
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        pick = (rows >= lo) & (rows < hi)
-        block = np.zeros((hi - lo, hi - lo), dtype=vals.dtype)
-        block[rows[pick] - lo, cols[pick] - lo] = vals[pick]
-        yield sites[lo:hi], block
+    for sites, section in _class_sections(walk_op, window):
+        rows, cols, vals = section_triplets(section, walk_op.block_size)
+        vals = _real_gauge(rows, cols, vals, len(sites))
+        block = np.zeros((len(sites), len(sites)), dtype=vals.dtype)
+        block[rows, cols] = vals
+        yield sites, block
 
 
 def truncated_spectrum(params, window: int) -> TruncatedSpectrum:
@@ -519,26 +513,26 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
     upper bound on the next one, in time linear in the window; raises
     :class:`VerificationError` if the block iteration does not settle.
 
-    The block has entries only at offsets +m, 0 and -m, so ordering its rows
-    and columns by residue class mod |m| (:func:`_class_ordered`, a
-    permutation, which keeps the singular values) splits it into |m|
-    tridiagonal blocks, filled straight into a (3, size) band.  The interior
-    rows and columns [k, 2 window + 1 - k) of the section, k the bandwidth, are
-    the section at window - k.  :func:`_real_band` gauges it: D1* A D2 with
-    unitary diagonal D1, D2 has the singular values of A, and it is real when
-    every 4-cycle of the pattern has a real product.  The block's does: its
-    diagonal is real up to the global factor i/2, and up(x) down(x + m) ~
-    |beta|^2.
+    The block has entries only at offsets +m, 0 and -m, so each residue class
+    mod |m| has a tridiagonal section (:func:`_class_sections`); their
+    diagonals, concatenated, are a (3, size) band of the direct sum.  The
+    interior rows and columns [k, 2 window + 1 - k) of the section, k the
+    bandwidth, are the section at window - k.  :func:`_real_band` gauges it:
+    D1* A D2 with unitary diagonal D1, D2 has the singular values of A, and it
+    is real when every 4-cycle of the pattern has a real product.  The
+    block's does: its diagonal is real up to the global factor i/2, and
+    up(x) down(x + m) ~ |beta|^2.
     """
     if window < 8 * abs(params.m):
         raise ValueError(f"window {window} below 8|m| = {8 * abs(params.m)}")
     block = offdiag_block(params)
     k = block.bandwidth
-    _, _, rows, cols, vals = _class_ordered(block, window - k)
-    if np.any(np.abs(rows - cols) > 1):
-        raise ValueError("kernel witness: the class-ordered block is not tridiagonal")
-    band = np.zeros((3, block.block_size * (2 * (window - k) + 1)), dtype=vals.dtype)
-    band[1 + rows - cols, cols] = vals
+    parts = []
+    for sites, section in _class_sections(block, window - k):
+        up, mid, down = (section.get((0, 0, y), np.zeros(len(sites), complex)) for y in (1, 0, -1))
+        # a[i, j] at [1 + i - j, j]; the roll moves the 0 past the class's edge to the other end
+        parts.append([np.roll(up, 1), mid, np.roll(down, -1)])
+    band = np.concatenate(parts, axis=1)
     return KernelWitness(window, _near_kernel_singular_values(_real_band(band), 4 * k + 4))
 
 
@@ -627,7 +621,8 @@ def run_verification(params, window: int, tol: float) -> VerificationReport:
     # The roundoff of grading @ walk @ grading (and of the two-step
     # conjugation) is about eps * max|walk entry|, and walk entries grow like
     # exp(2|gamma|), so those two residuals are compared on that scale.
-    scale = max(1.0, float(np.max(np.abs(walk_op.section_triplets(window)[2]), initial=0.0)))
+    diagonals = list(walk_op.section_diagonals(window).values())
+    scale = max(1.0, float(np.max(np.abs(diagonals), initial=0.0)))
     scale_note = f", entry scale {scale:.3e}" if scale > 1.0 else ""
     report.chiral_residual = chiral_residual_operators(grading_op, walk_op, window)
     record("chiral symmetry", report.chiral_residual / scale < tol,
@@ -650,15 +645,16 @@ def run_verification(params, window: int, tol: float) -> VerificationReport:
     if index_report.fredholm:
         nu = abs(index_report.analytic_index)
         # Witness windows must dominate the interface localisation length,
-        # which grows with |m|; if the count is short the window doubles
-        # once, up to 600.
+        # which grows with |m|; while the count is short the window doubles,
+        # up to 300 max(2, |m|).
         witness_window = max(window, 8 * abs(um.m), 300)
+        witness_cap = 300 * max(2, abs(um.m))
         try:
             while True:
                 report.witness = kernel_witness(um, witness_window)
-                if report.witness.count >= nu or witness_window >= 600:
+                if report.witness.count >= nu or witness_window >= witness_cap:
                     break
-                witness_window = min(2 * witness_window, 600)
+                witness_window = min(2 * witness_window, witness_cap)
         except VerificationError as err:
             record("kernel witness", False, f"{err} at window {witness_window}")
         else:
@@ -675,16 +671,17 @@ def run_verification(params, window: int, tol: float) -> VerificationReport:
         # a two-step walk's own section can count other bound states than the
         # section of its reduction, so only an m-step walk reuses its spectrum.
         # The protected states split from +-1 like exp(-kappa window), with
-        # kappa ~ 0.2 / |m| per site on the reference twins, so a count short
-        # of |index| doubles the window once, up to DENSE_BUDGET.
+        # kappa ~ 0.2 / |m| per site on the reference twins, so while the count
+        # is short of |index| the window doubles, up to max(2, |m|) windows.
         bound_window = window
+        bound_cap = min(window * max(2, abs(um.m)), DENSE_BUDGET)
         truncated = report.truncated if um is params else truncated_spectrum(um, window)
         while True:
             try:
                 report.bound_states = bound_state_check(um, bound_window, index_report, truncated)
             except VerificationError as err:
-                if bound_window < min(2 * window, DENSE_BUDGET):
-                    bound_window = min(2 * window, DENSE_BUDGET)
+                if bound_window < bound_cap:
+                    bound_window = min(2 * bound_window, bound_cap)
                     truncated = truncated_spectrum(um, bound_window)
                     continue
                 record("bound states", False, f"{err} at window {bound_window}")

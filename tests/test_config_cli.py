@@ -680,6 +680,37 @@ def test_verify_passes_the_unitary_twins_at_the_default_window(tmp_path, capsys,
     assert f"interior states near +-1 at window {window} >=" in out
 
 
+@pytest.mark.parametrize("m", [4, -5])
+@pytest.mark.parametrize("gamma", [0.4, 0.0])
+def test_verify_passes_large_steps(tmp_path, capsys, m, gamma):
+    # the witness counts 4 of 8 (m = 4) and 0 of 10 (m = -5) at window 600,
+    # and the unitary twins 4 and 5 bound states at window 200; both windows
+    # double further for |m| >= 4, up to 300 |m| and 100 |m|
+    doc = json.loads(Path(UM2).read_text(encoding="utf-8"))
+    doc["m"] = m
+    doc["profiles"]["gamma"] = {"left": gamma, "right": gamma}
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out and captured.err == ""
+    assert f"index demands {2 * abs(m)}" in captured.out
+    assert ("bound states: PASS" in captured.out) == (gamma == 0.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: from |m| = 2835 on, the 64 (|m| + 1) start grid of the numeric "
+           "winding refines past its 2^20-sample cap, so index exits 3 although the config "
+           "layer accepts |m| <= 16383; evaluating the symbol at w = z^m and multiplying "
+           "the winding by m answers")
+def test_index_answers_at_step_2835(tmp_path, capsys):
+    doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
+    doc["m"] = 2835
+    code = main(["index", write_config(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert "index = 5670" in captured.out.splitlines()
+    assert code == 0
+
+
 def test_verify_command_skips_bound_states_of_a_unitary_tie(tmp_path, capsys):
     doc = um_document()
     doc["profiles"] = {

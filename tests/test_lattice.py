@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chiralwalk.lattice import BandedOperator, compose, finite_section
+from chiralwalk.lattice import BandedOperator, compose, finite_section, section_triplets
 from chiralwalk.models import grading, mko_grading, mko_to_um, mko_walk, walk
 from chiralwalk.profiles import ParameterProfile
 
@@ -179,7 +179,7 @@ def test_sparse_and_dense_sections_match_the_site_loop_bit_for_bit(name):
             expected = np.zeros(2 * window + 1, dtype=complex)
             expected[inside] = reference[rows[inside] * n + i, (rows[inside] + y) * n + j]
             assert (0.0 + diag).tobytes() == expected.tobytes()
-        r, c, vals = op.section_triplets(window)
+        r, c, vals = section_triplets(diagonals, n)
         assert len(set(zip(r.tolist(), c.tolist()))) == len(r)
         scattered = np.zeros_like(reference)
         scattered[r, c] += vals
@@ -198,8 +198,8 @@ def test_bandwidth_is_derived_from_the_nonzero_coefficients():
 def test_the_zero_operator_has_no_section_diagonals():
     zero = BandedOperator(2, {})
     assert zero.section_diagonals(3) == {}
-    assert all(len(part) == 0 for part in zero.section_triplets(3))
+    assert all(len(part) == 0 for part in section_triplets(zero.section_diagonals(3), 2))
     assert not finite_section(zero, 3).matrix.any()
-    for assemble in (BandedOperator.section_diagonals, BandedOperator.section_triplets):
+    for assemble in (BandedOperator.section_diagonals, finite_section):
         with pytest.raises(ValueError, match="^window 2 smaller than bandwidth 3$"):
             assemble(BandedOperator.shift(3), 2)

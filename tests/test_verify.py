@@ -25,7 +25,7 @@ from chiralwalk import (
 )
 from chiralwalk.cli import main
 from chiralwalk.config import DEFAULT_OPTIONS, load_model_config
-from chiralwalk.lattice import BandedOperator
+from chiralwalk.lattice import BandedOperator, section_triplets
 from chiralwalk.models import (
     coin_from_profiles,
     grading_from_profiles,
@@ -341,7 +341,7 @@ def walk_sections(draw):
 def test_walk_sections_are_solved_in_real_arithmetic(section):
     params, window = section
     walk_op = build_pair(params)[1]
-    rows, cols, vals = walk_op.section_triplets(window)
+    rows, cols, vals = section_triplets(walk_op.section_diagonals(window), walk_op.block_size)
     d = verify_module._phase_gauge(rows, cols, vals, walk_op.block_size * (2 * window + 1))
     assert np.allclose(np.abs(d), 1.0, rtol=0.0, atol=1e-12)
     gauged = vals * d[cols] / d[rows]
@@ -374,26 +374,35 @@ def test_the_class_ordered_section_is_a_permutation_of_the_section(name, step):
           "two-step walk": mko_walk(reference_mko_params()),
           "block m=-3": offdiag_block(reference_params(m=-3))}[name]
     window, n = 20, op.block_size
-    sites, starts, rows, cols, vals = verify_module._class_ordered(op, window)
-    assert len(starts) == step + 1 and starts[0] == 0 and starts[-1] == len(sites)
-    # class r holds the sites = r mod step in ascending order, n rows per site
+    dense = op.finite_section(window).matrix
+    classes = list(verify_module._class_sections(op, window))
+    assert len(classes) == step
+    # class r holds the sites = r mod step in ascending order, n rows per site,
+    # and the classes cover every row of the section once
     site_range = np.arange(-window, window + 1)
-    for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        assert np.array_equal(sites[lo:hi], np.repeat(site_range[site_range % step == r], n))
-    assert np.array_equal(np.searchsorted(starts, rows, side="right"),
-                          np.searchsorted(starts, cols, side="right"))
-    # scattered back to the site order, the entries are the dense section bit for bit
-    original = (sites + window) * n + np.arange(len(sites)) % n
-    assert np.array_equal(np.sort(original), np.arange(len(sites)))
-    dense = np.zeros((len(sites), len(sites)), dtype=complex)
-    dense[original[rows], original[cols]] += vals
-    assert dense.tobytes() == op.finite_section(window).matrix.tobytes()
+    covered = []
+    for r, (sites, section) in enumerate(classes):
+        assert np.array_equal(sites, np.repeat(site_range[site_range % step == r], n))
+        flat = (sites + window) * n + np.arange(len(sites)) % n
+        covered.append(flat)
+        # scattered back through its sites, a class section is the dense
+        # section on those rows and columns bit for bit
+        rows, cols, vals = section_triplets(section, n)
+        block = np.zeros((len(sites), len(sites)), dtype=complex)
+        block[rows, cols] += vals
+        assert block.tobytes() == dense[np.ix_(flat, flat)].tobytes()
+    assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(len(dense)))
+    # so no entry couples two classes
+    outside = dense.copy()
+    for flat in covered:
+        outside[np.ix_(flat, flat)] = 0.0
+    assert not outside.any()
 
 
 def test_an_operator_without_coefficients_is_one_class(monkeypatch):
     # the gcd of no offsets is 0, which reads as step 1
-    _, starts, rows, _, _ = verify_module._class_ordered(BandedOperator(2), 3)
-    assert starts.tolist() == [0, 14] and len(rows) == 0
+    [(sites, section)] = verify_module._class_sections(BandedOperator(2), 3)
+    assert len(sites) == 14 and section == {}
     values = operator_spectrum(monkeypatch, BandedOperator(2), 3).eigenvalues
     assert len(values) == 14 and not values.any()
 
@@ -404,7 +413,7 @@ def test_the_phase_gauge_stays_real_to_8_eps_at_the_dense_budget():
     rng = np.random.default_rng(0)
     for _ in range(10):
         walk_op = build_pair(random_um_params(rng, gamma_range=2.0))[1]
-        rows, cols, vals = walk_op.section_triplets(DENSE_BUDGET)
+        rows, cols, vals = section_triplets(walk_op.section_diagonals(DENSE_BUDGET), 2)
         d = verify_module._phase_gauge(rows, cols, vals, 2 * (2 * DENSE_BUDGET + 1))
         gauged = vals * d[cols] / d[rows]
         assert np.max(np.abs(gauged.imag)) <= 8 * np.finfo(float).eps * np.max(np.abs(vals))
@@ -695,19 +704,17 @@ def refuse_the_loop_gauge(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, -1, 2, -2, 3, -3, "mko"])
 def test_the_class_ordered_block_is_tridiagonal(m):
-    # kernel_witness fills a (3, size) band from the block's class-ordered
-    # section at window - |m|; windows 40 .. 40 + |m| - 1 hit every residue
+    # kernel_witness concatenates the block's class sections at window - |m|
+    # into a (3, size) band; windows 40 .. 40 + |m| - 1 hit every residue
     # of (window - |m|) mod |m|, so every split into class sizes
     um = reduce_to_um(reference_mko_params()) if m == "mko" else reference_params(m=m)
     block = offdiag_block(um)
     step = abs(um.m)
     assert block.bandwidth == step
     for window in range(40, 40 + step):
-        _, starts, rows, cols, _ = verify_module._class_ordered(block, window - step)
-        assert len(starts) == step + 1
-        assert np.max(np.abs(cols - rows)) == 1
-        assert np.array_equal(np.searchsorted(starts, rows, side="right"),
-                              np.searchsorted(starts, cols, side="right"))
+        classes = list(verify_module._class_sections(block, window - step))
+        assert len(classes) == step
+        assert all(set(section) <= {(0, 0, -1), (0, 0, 0), (0, 0, 1)} for _, section in classes)
         assert kernel_witness(um, window).window == window
 
 
