@@ -3,8 +3,8 @@
 The index is computed along three independent routes and must be unanimous:
 
 1. the closed-form four-branch formula in the endpoint data,
-2. winding numbers of the two endpoint symbols read off an exact geometric
-   argument (the symbol traces an ellipse, possibly degenerate),
+2. winding numbers of the two endpoint symbols, m times (roots of the
+   quadratic w f in w = z^m inside the unit circle - 1),
 3. winding numbers accumulated numerically from circle samples of the same
    symbols, on a grid bisected only where the symbol nears zero until each
    interval's argument increment is certified by the symbol's slope bound.
@@ -12,8 +12,8 @@ The index is computed along three independent routes and must be unanimous:
 The endpoint symbols are trigonometric polynomials read off the coefficient
 limits of the off-diagonal block, times a unit phase at an endpoint where p
 tends to +-1; route 3 consumes only those sampled values and the slope bound,
-so it is independent of the geometry used in route 2 and of the branch logic
-used in route 1.
+so it is independent of the root count used in route 2 and of the branch
+logic used in route 1.  The roots' moduli also set the kernel witness's window.
 """
 
 from __future__ import annotations
@@ -193,22 +193,32 @@ def witten_index_analytic(minus: AsymptoticData, plus: AsymptoticData, m: int) -
 # winding numbers
 # ---------------------------------------------------------------------------
 
-def winding_analytic(sym: SymbolFunction, asym: AsymptoticData) -> int:
-    """Winding of the endpoint symbol from the ellipse geometry.
+def pencil_roots(sym: SymbolFunction) -> tuple:
+    """Roots w of the pencil ``leading w^2 - 2 c w + trailing`` = -2i w f, w = z^m.
 
-    The curve traced by the symbol is an ellipse centred on the real axis at
-    distance |c| from the origin with horizontal semi-axis |p b| (a vertical
-    segment when p b = 0).  The origin is encircled m*sgn(p) times when
-    |p b| > |c|, never when |p b| < |c|, and the symbol vanishes somewhere on
-    the circle when the two are equal.
+    Stable formula (roots c / q and q / a, |q| >= |b| / 2; none at a = 0) on
+    the coefficients over their largest modulus, safe up to |gamma| = ``GAMMA_LIMIT``.
     """
-    pb = abs(asym.p * asym.b)
-    c = abs(sym.c)
-    if math.isclose(pb, c, rel_tol=1e-12, abs_tol=1e-14):
-        raise NotFredholmError("symbol vanishes on the unit circle (|p b| = |c|)")
-    if pb > c:
-        return sym.m * sgn(asym.p)
-    return 0
+    scale = max(abs(sym.leading), 2.0 * abs(sym.c), abs(sym.trailing))
+    if scale == 0.0:
+        raise NotFredholmError("symbol vanishes identically")
+    a, b, c = sym.leading / scale, -2.0 * sym.c / scale, sym.trailing / scale
+    q = -(b + math.copysign(1.0, b) * cmath.sqrt(b * b - 4.0 * a * c)) / 2.0
+    if q == 0:                                   # b = a c = 0: a w^2, or the constant c
+        return (0j, 0j) if a != 0 else ()
+    return (c / q,) + ((q / a,) if a != 0 else ())
+
+
+def winding_analytic(sym: SymbolFunction) -> int:
+    """Winding of the endpoint symbol: m (pencil roots in |w| < 1, less 1).
+
+    That is the argument principle for w = z^m; a root within 1e-12 of the
+    circle raises :class:`NotFredholmError`.
+    """
+    roots = pencil_roots(sym)
+    if any(abs(abs(w) - 1.0) < 1e-12 for w in roots):
+        raise NotFredholmError("symbol vanishes on the unit circle (a pencil root has |w| = 1)")
+    return sym.m * (sum(abs(w) < 1.0 for w in roots) - 1)
 
 
 def winding_numeric(sym: SymbolFunction) -> int:
@@ -325,8 +335,8 @@ def compute_index(params: ModelParamsUm, phase: ParameterProfile | None = None) 
         )
     analytic = witten_index_analytic(minus, plus, params.m)
     syms = symbols_from_block(params, phase)
-    wn_minus = winding_analytic(syms[MINUS_INF], minus)
-    wn_plus = winding_analytic(syms[PLUS_INF], plus)
+    wn_minus = winding_analytic(syms[MINUS_INF])
+    wn_plus = winding_analytic(syms[PLUS_INF])
     wn_minus_num = winding_numeric(syms[MINUS_INF])
     wn_plus_num = winding_numeric(syms[PLUS_INF])
     routes = {

@@ -7,24 +7,18 @@ transpose of the section).  Residuals and the kernel witness cost time
 linear in the window: residuals compare products of finite sections on
 interior rows, each section held as one diagonal per coefficient
 (:meth:`~chiralwalk.lattice.BandedOperator.section_diagonals`) and
-multiplied by slice multiply-adds; the witness holds the off-diagonal block
-as three diagonals, factors their banded Hermitian dilation H once, shifted
-by half the kernel threshold, and runs a block inverse iteration on
-(H^2 - s^2)^-1 (two solves on that one factorisation per step) that returns
-the near-kernel singular values plus an upper bound on the next one, unless
-a diagonal-dominance bound already shows that there is no near-kernel.  Dense
-matrices appear only where a full spectrum is needed (truncated spectra,
-which also give the bound states), and :data:`DENSE_BUDGET` bounds their window.
+multiplied by slice multiply-adds; the witness runs a banded block inverse
+iteration (:func:`_near_kernel_singular_values`).  Dense matrices appear only
+where a full spectrum is needed (truncated spectra, which also give the bound
+states), and :data:`DENSE_BUDGET` bounds their window.
 
 Both the walk and the off-diagonal block couple only sites ``step`` apart,
 ``step`` the gcd of their coefficient offsets (m for an m-step walk and its
 block, 2 for the two-step walk), so a section is the direct sum of one
 section per residue class of the sites mod ``step``, each a stride of the
 section's diagonals (:func:`_class_sections`).  The walk's section is solved
-by ``step`` dense eigensolves of size N/step in dense memory (N/step)^2.  The
-block's class sections are tridiagonal, and a unitary diagonal gauge on each
-side makes them real without changing the singular values: the witness runs
-LAPACK's real band solver (``dgbtrf``) on a dilation of bandwidth 3.
+by ``step`` dense eigensolves of size N/step in dense memory (N/step)^2; the
+block's class sections are tridiagonal (:func:`kernel_witness`).
 
 Walk sections are solved in real arithmetic.  The grading and the coin are
 Hermitian and couple the sites along disjoint paths, so a diagonal phase
@@ -47,7 +41,8 @@ scale whenever it exceeds 1.
 
 Finite sections cannot compute a signed Fredholm index (square matrices have
 index zero), so this module provides witnesses: counts of near-kernel
-directions that must be at least |index| for large windows.  Signed index
+directions that must be at least |index| once the window dominates the
+decay length of the block's tails (:func:`_witness_window`).  Signed index
 computation lives in :mod:`chiralwalk.index`.
 """
 
@@ -57,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index import IndexReport, compute_index
+from .index import IndexReport, compute_index, pencil_roots, symbols_from_block
 from .lattice import BandedOperator, section_triplets
 from .models import (
     InvalidParameters,
@@ -79,6 +74,7 @@ EIGENVALUE_TOL = 1e-6
 WITNESS_SHIFT = KERNEL_THRESHOLD / 2
 WITNESS_RESIDUAL_TOL = 1e-12
 MAX_WITNESS_ITERATIONS = 500
+MAX_WITNESS_WINDOW = 100_000
 # bandwidth of the interleaved dilation of a tridiagonal block (see _dilation_band)
 _DILATION_BANDWIDTH = 3
 
@@ -432,11 +428,8 @@ def _near_kernel_singular_values(a: np.ndarray, start_columns: int) -> np.ndarra
     size or after ``MAX_WITNESS_ITERATIONS`` steps.
 
     Returns the near-kernel values ascending, then sigma_min(a W), W the
-    other right Ritz vectors (orthogonal to the near-kernel ones): by
-    Courant-Fischer an upper bound on the next singular value, not that
-    value converged: through the start block it depends on the real gauge of
-    ``a`` (sign-equivalent gauges moved it by up to 99%), so it is no
-    singular-value gap.  Every step costs time linear in the size of ``a``.
+    other right Ritz vectors: the Courant-Fischer bound of
+    :class:`KernelWitness`.  Every step costs time linear in the size of ``a``.
 
     Before iterating it computes Johnson's lower bound on sigma_min (C. R.
     Johnson, Linear Algebra Appl. 112, 1989), min_i (|a_ii| - (r_i + c_i) / 2)
@@ -508,10 +501,9 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
 
     Counts singular values below ``KERNEL_THRESHOLD`` of the interior-restricted
     square section.  For a Fredholm instance of index nu the count is at
-    least |nu| once the window dominates the localisation length; it is a
-    witness, not a signed index.  Computes only the near-kernel values and an
-    upper bound on the next one, in time linear in the window; raises
-    :class:`VerificationError` if the block iteration does not settle.
+    least |nu| once the window dominates the tails' decay length ell
+    (:func:`_witness_window`); it is a witness, not a signed index.  The
+    values come from :func:`_near_kernel_singular_values`.
 
     The block has entries only at offsets +m, 0 and -m, so each residue class
     mod |m| has a tridiagonal section (:func:`_class_sections`); their
@@ -534,6 +526,23 @@ def kernel_witness(params: ModelParamsUm, window: int) -> KernelWitness:
         parts.append([np.roll(up, 1), mid, np.roll(down, -1)])
     band = np.concatenate(parts, axis=1)
     return KernelWitness(window, _near_kernel_singular_values(_real_band(band), 4 * k + 4))
+
+
+def _witness_window(um: ModelParamsUm, window: int) -> tuple:
+    """The witness window, and a note naming the tails' decay length ell when it is capped.
+
+    ell = max |m| / |ln|w|| over the non-zero pencil roots w of both endpoint
+    symbols.  Near-kernel singular values fall like exp(-W / ell), so the
+    window is max(window, 8|m|, 2|m| + ceil(1.25 ln(1/t) ell)), t =
+    ``KERNEL_THRESHOLD``, at most ``MAX_WITNESS_WINDOW``.
+    """
+    m = abs(um.m)
+    roots = [w for sym in symbols_from_block(um).values() for w in pencil_roots(sym) if w != 0]
+    length = max((m / abs(np.log(abs(w))) for w in roots), default=0.0)
+    wanted = max(window, 8 * m, 2 * m + int(np.ceil(-1.25 * np.log(KERNEL_THRESHOLD) * length)))
+    if wanted <= MAX_WITNESS_WINDOW:
+        return wanted, ""
+    return MAX_WITNESS_WINDOW, f"; decay length {length:.3e} sites wants window {wanted}"
 
 
 @dataclass
@@ -644,24 +653,16 @@ def run_verification(params, window: int, tol: float) -> VerificationReport:
     index_report = compute_index(um)
     if index_report.fredholm:
         nu = abs(index_report.analytic_index)
-        # Witness windows must dominate the interface localisation length,
-        # which grows with |m|; while the count is short the window doubles,
-        # up to 300 max(2, |m|).
-        witness_window = max(window, 8 * abs(um.m), 300)
-        witness_cap = 300 * max(2, abs(um.m))
+        witness_window, capped = _witness_window(um, window)
         try:
-            while True:
-                report.witness = kernel_witness(um, witness_window)
-                if report.witness.count >= nu or witness_window >= witness_cap:
-                    break
-                witness_window = min(2 * witness_window, witness_cap)
+            report.witness = kernel_witness(um, witness_window)
         except VerificationError as err:
             record("kernel witness", False, f"{err} at window {witness_window}")
         else:
             record("kernel witness", report.witness.count >= nu,
                    f"{report.witness.count} singular values below "
                    f"{KERNEL_THRESHOLD:.1e} at window {witness_window}, "
-                   f"index demands {nu}")
+                   f"index demands {nu}{capped}")
     else:
         record("kernel witness", True, "skipped: not Fredholm")
 

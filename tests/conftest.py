@@ -130,6 +130,12 @@ def random_mko_params(rng, sites=2) -> ModelParamsMko:
     )
 
 
+def closed_p_gamma(p, gamma):
+    """|p_gamma| for real p and |q| = sqrt(1 - p^2)."""
+    ch = math.cosh(2.0 * gamma)
+    return abs(p) / math.sqrt(p * p + (1.0 - p * p) * ch * ch)
+
+
 def random_fredholm_params(rng, min_margin=1e-6, **kwargs) -> ModelParamsUm:
     """Rejection-sample until both endpoint margins clear ``min_margin``."""
     from chiralwalk import AsymptoticData, p_gamma

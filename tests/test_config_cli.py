@@ -498,7 +498,7 @@ def test_verify_command_lists_a_witness_failure_as_a_fail_line(capsys, monkeypat
     assert main(["verify", UM1, "--window", "60"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert ("kernel witness: FAIL (kernel witness: no convergence in 1 block iterations "
-            "at window 300)") in lines
+            "at window 254)") in lines
     checks = [line for line in lines if line.endswith(")") and ": " in line]
     assert [line.split(":")[0] for line in checks] == [
         "normalization p^2+|q|^2", "normalization a^2+|b|^2", "chiral symmetry",
@@ -534,7 +534,7 @@ def test_verify_command_passes_on_every_config_at_large_gain(tmp_path, capsys, n
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="ROADMAP item 3: at gain 20/0.4 the block's section has norm ~1e16 and the witness "
-           "stalls (no convergence in 500 block iterations at window 300, exit 3); "
+           "stalls (no convergence in 500 block iterations at window 254, exit 3); "
            "equilibrating the block should settle it")
 def test_verify_passes_the_witness_at_unequal_half_line_gains(tmp_path, capsys):
     doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
@@ -557,9 +557,39 @@ def test_verify_passes_the_witness_at_opposite_half_line_gains(tmp_path, capsys,
     assert "index = 0" in capsys.readouterr().out.splitlines()
     assert main(["verify", path]) == 0
     captured = capsys.readouterr()
-    assert (f"kernel witness: PASS ({count} singular values below 1.0e-06 at window 300, "
+    # gain 3 decays the tails within a few sites, so the window stays at 100
+    assert (f"kernel witness: PASS ({count} singular values below 1.0e-06 at window 100, "
             "index demands 0)") in captured.out.splitlines()
     assert "FAIL" not in captured.out and captured.err == ""
+
+
+def narrow_margin_config(tmp_path, m):
+    """``reference_um_m1`` with a = -+0.14 and b = sqrt(1 - 0.14^2): margins 0.011, index 2 m."""
+    doc = json.loads(Path(UM1).read_text(encoding="utf-8"))
+    doc["m"] = m
+    doc["profiles"]["a"] = {"left": -0.14, "right": 0.14}
+    b = math.sqrt(1 - 0.14 ** 2)
+    doc["profiles"]["b"] = {"left": b, "right": b}
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("m, count, window", [(1, 2, 1174), (-2, 4, 2348)])
+def test_verify_passes_the_witness_at_a_narrow_margin(tmp_path, capsys, m, count, window):
+    # the tails decay over 67.85 |m| sites: at window 600 the witness counts
+    # 0, at the window that decay length sets it counts |index|
+    assert main(["verify", narrow_margin_config(tmp_path, m)]) == 0
+    captured = capsys.readouterr()
+    assert (f"kernel witness: PASS ({count} singular values below 1.0e-06 at window {window}, "
+            f"index demands {count})") in captured.out.splitlines()
+    assert "FAIL" not in captured.out and captured.err == ""
+
+
+def test_verify_names_the_decay_length_when_the_window_is_capped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify_module, "MAX_WITNESS_WINDOW", 300)
+    assert main(["verify", narrow_margin_config(tmp_path, 1)]) == 3
+    assert ("kernel witness: FAIL (0 singular values below 1.0e-06 at window 300, "
+            "index demands 2; decay length 6.785e+01 sites wants window 1174)"
+            ) in capsys.readouterr().out.splitlines()
 
 
 def test_every_benchmark_trace_target_is_a_library_callable(monkeypatch):
@@ -683,9 +713,9 @@ def test_verify_passes_the_unitary_twins_at_the_default_window(tmp_path, capsys,
 @pytest.mark.parametrize("m", [4, -5])
 @pytest.mark.parametrize("gamma", [0.4, 0.0])
 def test_verify_passes_large_steps(tmp_path, capsys, m, gamma):
-    # the witness counts 4 of 8 (m = 4) and 0 of 10 (m = -5) at window 600,
-    # and the unitary twins 4 and 5 bound states at window 200; both windows
-    # double further for |m| >= 4, up to 300 |m| and 100 |m|
+    # the witness counts 4 of 8 (m = 4) and 0 of 10 (m = -5) at window 600;
+    # the decay length sets windows 1014 and 1267.  The unitary twins count 4
+    # and 5 bound states at window 200, and that window doubles up to 100 |m|
     doc = json.loads(Path(UM2).read_text(encoding="utf-8"))
     doc["m"] = m
     doc["profiles"]["gamma"] = {"left": gamma, "right": gamma}

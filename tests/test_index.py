@@ -26,7 +26,13 @@ from chiralwalk.index import symbols_from_block
 from chiralwalk.models import default_phase
 from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 
-from conftest import random_fredholm_params, random_um_params, real_profile, reference_params
+from conftest import (
+    closed_p_gamma,
+    random_fredholm_params,
+    random_um_params,
+    real_profile,
+    reference_params,
+)
 
 # Frozen with independent scalar arithmetic:
 #   0.2 / sqrt(0.04 + 0.96 * cosh(0.8)^2)
@@ -128,9 +134,22 @@ def test_analytic_winding_of_the_reference_symbol():
         params = reference_params(m=m)
         plus = AsymptoticData.from_params(params, PLUS_INF)
         sym = SymbolFunction.from_asymptotics(plus, m)
-        assert winding_analytic(sym, plus) == m
+        assert winding_analytic(sym) == m
         minus = AsymptoticData.from_params(params, MINUS_INF)
-        assert winding_analytic(SymbolFunction.from_asymptotics(minus, m), minus) == -m
+        assert winding_analytic(SymbolFunction.from_asymptotics(minus, m)) == -m
+        # p -> -1 at -inf (leading = 0) and p -> +1 at +inf (trailing = 0), both
+        # with q = 0 and so c = 0; and a = 0 (c = 0) with the reference p
+        tails = ModelParamsUm(m=m, gamma=params.gamma, p=real_profile(-1.0, 1.0), a=params.a,
+                              q=ParameterProfile.constant(0.0), b=params.b)
+        no_a = ModelParamsUm(m=m, gamma=params.gamma, p=params.p, a=real_profile(0.0, 0.0),
+                             q=params.q, b=ParameterProfile.constant(1.0))
+        for other in (tails, no_a):
+            syms = symbols_from_block(other)
+            assert syms[MINUS_INF].c == syms[PLUS_INF].c == 0.0
+            assert winding_analytic(syms[MINUS_INF]) == -m
+            assert winding_analytic(syms[PLUS_INF]) == m
+        assert symbols_from_block(tails)[MINUS_INF].leading == 0
+        assert symbols_from_block(tails)[PLUS_INF].trailing == 0
 
 
 def test_analytic_winding_degenerate_segment_case():
@@ -142,7 +161,7 @@ def test_analytic_winding_degenerate_segment_case():
     plus = AsymptoticData.from_params(params, PLUS_INF)
     sym = SymbolFunction.from_asymptotics(plus, 1)
     assert abs(sym.c) > 0
-    assert winding_analytic(sym, plus) == 0
+    assert winding_analytic(sym) == 0
 
 
 def test_analytic_winding_outside_the_ellipse():
@@ -153,7 +172,7 @@ def test_analytic_winding_outside_the_ellipse():
         b=ParameterProfile.constant(math.sqrt(0.19))))
     sym = SymbolFunction.from_asymptotics(plus, 1)
     assert abs(plus.p * plus.b) < abs(sym.c)
-    assert winding_analytic(sym, plus) == 0
+    assert winding_analytic(sym) == 0
 
 
 def test_analytic_winding_rejects_a_vanishing_symbol():
@@ -162,21 +181,29 @@ def test_analytic_winding_rejects_a_vanishing_symbol():
     values = sym.evaluate(np.exp(1j * np.linspace(0, 2 * np.pi, 4096)))
     assert np.min(np.abs(values)) < 1e-8        # it really does vanish
     with pytest.raises(NotFredholmError):
-        winding_analytic(sym, plus)
+        winding_analytic(sym)
+    # every coefficient 0: the symbol vanishes identically
+    with pytest.raises(NotFredholmError, match="vanishes identically"):
+        winding_analytic(SymbolFunction(star=PLUS_INF, m=1, c=0.0, leading=0j, trailing=0j))
 
 
 def test_numeric_winding_constant_symbol():
+    # b = 0: leading = trailing = 0, and the symbol is the constant 2c / 2i
     sym = SymbolFunction(star=PLUS_INF, m=1, c=0.7, leading=0.0, trailing=0.0)
     assert winding_numeric(sym) == 0
+    assert winding_analytic(sym) == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, -1, -2, -3])
 def test_numeric_winding_of_a_monomial(m):
-    # leading = -2i turns the symbol into exactly z^m
+    # leading = -2i turns the symbol into exactly z^m, trailing = -2i into z^-m
     sym = SymbolFunction(star=PLUS_INF, m=m, c=0.0, leading=-2.0j, trailing=0.0)
     z = np.exp(1j * np.linspace(0.1, 0.7, 5))
     assert np.max(np.abs(sym.evaluate(z) - z ** m)) < 1e-15
-    assert winding_numeric(sym) == m
+    assert winding_numeric(sym) == winding_analytic(sym) == m
+    inverse = SymbolFunction(star=PLUS_INF, m=m, c=0.0, leading=0.0, trailing=-2.0j)
+    assert np.max(np.abs(inverse.evaluate(z) - z ** -m)) < 1e-15
+    assert winding_numeric(inverse) == winding_analytic(inverse) == -m
 
 
 def test_numeric_winding_refuses_near_zero_symbols():
@@ -188,12 +215,19 @@ def test_numeric_winding_refuses_near_zero_symbols():
 
 def test_numeric_winding_agrees_with_the_analytic_route():
     rng = np.random.default_rng(31)
-    for _ in range(60):
-        params = random_fredholm_params(rng)
+    draws = [random_fredholm_params(rng) for _ in range(60)]
+    # near ties: margins down to 1e-10 at one end, a p = +-1 tail at the other
+    for _ in range(30):
+        margin = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -2.0)
+        other = (rng.choice([-1.0, 1.0]), rng.uniform(-0.8, 0.8), rng.uniform(-0.9, 0.9))
+        draws.append(near_boundary_params(
+            int(rng.choice([-3, -2, -1, 1, 2, 3])), margin,
+            rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.85), rng.uniform(-0.6, 0.6),
+            rng.choice([-1.0, 1.0]), bool(rng.integers(2)), other, tuple(rng.uniform(0, 6.28, 4))))
+    for params in draws:
         syms = symbols_from_block(params)
         for star in (MINUS_INF, PLUS_INF):
-            asym = AsymptoticData.from_params(params, star)
-            assert winding_numeric(syms[star]) == winding_analytic(syms[star], asym)
+            assert winding_numeric(syms[star]) == winding_analytic(syms[star])
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +317,6 @@ def test_index_is_invariant_under_phase_reassignment():
 # ---------------------------------------------------------------------------
 # the numeric winding near the Fredholm boundary
 # ---------------------------------------------------------------------------
-
-def closed_p_gamma(p, gamma):
-    """|p_gamma| for real p and |q| = sqrt(1 - p^2)."""
-    ch = math.cosh(2.0 * gamma)
-    return abs(p) / math.sqrt(p * p + (1.0 - p * p) * ch * ch)
-
 
 def near_boundary_params(m, margin, p, gamma, a_sign=1.0, at_plus=True,
                          other=(-0.2, 0.4, 0.1), phases=(0.0, 0.0, 0.0, 0.0)):

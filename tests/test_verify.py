@@ -6,15 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import chiralwalk.plotting
 from chiralwalk import verify as verify_module
 from chiralwalk import (
+    AsymptoticData,
     InvalidParameters,
     ModelParamsMko,
     ModelParamsUm,
+    SymbolFunction,
     VerificationError,
     bound_state_check,
     compute_index,
@@ -36,7 +38,7 @@ from chiralwalk.models import (
     reduce_to_um,
     walk,
 )
-from chiralwalk.profiles import ParameterProfile
+from chiralwalk.profiles import MINUS_INF, PLUS_INF, ParameterProfile
 from chiralwalk.verify import (
     DENSE_BUDGET,
     EIGENVALUE_TOL,
@@ -48,6 +50,7 @@ from chiralwalk.verify import (
 )
 
 from conftest import (
+    closed_p_gamma,
     random_fredholm_params,
     random_operator,
     random_mko_params,
@@ -866,7 +869,7 @@ def test_witness_iteration_cap_is_a_verification_error(monkeypatch):
     report = run_verification(reference_params(m=2), 60, TOL)
     checks = {name: (ok, detail) for name, ok, detail in report.checks}
     assert checks.pop("kernel witness") == (
-        False, "kernel witness: no convergence in 1 block iterations at window 300")
+        False, "kernel witness: no convergence in 1 block iterations at window 507")
     assert all(ok for ok, _ in checks.values()) and "chiral symmetry" in checks
 
 
@@ -883,6 +886,63 @@ def test_witness_block_reaching_the_section_size_is_a_verification_error():
 def test_witness_window_floor():
     with pytest.raises(ValueError):
         kernel_witness(reference_params(m=3), 20)
+
+
+def rule_window(params, window):
+    """The witness window rule, from numpy's roots of the closed-form symbols."""
+    m = abs(params.m)
+    roots = [w for star in (MINUS_INF, PLUS_INF)
+             for sym in [SymbolFunction.from_asymptotics(AsymptoticData.from_params(params, star),
+                                                         params.m)]
+             for w in np.roots([sym.leading, -2.0 * sym.c, sym.trailing]) if w != 0]
+    length = max((m / abs(math.log(abs(w))) for w in roots), default=0.0)
+    wanted = max(window, 8 * m, 2 * m + math.ceil(-1.25 * math.log(KERNEL_THRESHOLD) * length))
+    return min(wanted, verify_module.MAX_WITNESS_WINDOW)
+
+
+# gamma in [-3, 3], p -> +-1 at a tenth of the endpoints, |margin| in [1e-2, 0.5]
+witness_endpoint = st.tuples(
+    st.floats(-3.0, 3.0), st.integers(0, 19), st.floats(-0.95, 0.95), st.floats(-2.0, -0.3),
+    st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 6.28),
+    st.floats(0.0, 6.28))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=st.sampled_from([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]),
+       ends=st.tuples(witness_endpoint, witness_endpoint),
+       sites=st.lists(st.tuples(st.integers(-5, 5), st.floats(-3.0, 3.0), st.floats(-0.95, 0.95),
+                                st.floats(-0.95, 0.95)), max_size=3, unique_by=lambda t: t[0]))
+def test_the_witness_window_follows_from_the_decay_length(m, ends, sites):
+    limits = []
+    for gamma, tail, p, decade, margin_sign, a_sign, q_phase, b_phase in ends:
+        p = {0: -1.0, 1: 1.0}.get(tail, p)
+        margin = 10.0 ** decade * (1.0 if abs(p) == 1.0 else margin_sign)
+        a = closed_p_gamma(p, gamma) - margin
+        assume(0.0 <= a <= 0.99)
+        limits.append((gamma, p, a_sign * a, math.sqrt(1.0 - p * p) * np.exp(1j * q_phase),
+                       math.sqrt(1.0 - a * a) * np.exp(1j * b_phase)))
+
+    def profile(k, override):
+        return ParameterProfile(limits[0][k], limits[1][k], {x: override(v) for x, *v in sites})
+
+    params = ModelParamsUm(
+        m=m, gamma=profile(0, lambda v: v[0]), p=profile(1, lambda v: v[1]),
+        a=profile(2, lambda v: v[2]), q=profile(3, lambda v: math.sqrt(1.0 - v[1] ** 2)),
+        b=profile(4, lambda v: math.sqrt(1.0 - v[2] ** 2)))
+    assume(compute_index(params).analytic_index != 0)
+    windows = []
+    witness = verify_module.kernel_witness
+
+    def counting(params, window):
+        windows.append(window)
+        return witness(params, window)
+
+    window = 8 * abs(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "kernel_witness", counting)
+        checks = {name: ok for name, ok, _ in run_verification(params, window, TOL).checks}
+    assert windows == [rule_window(params, window)]
+    assert checks["kernel witness"]
 
 
 # ---------------------------------------------------------------------------
